@@ -3,7 +3,8 @@
 
 Trains a baseline model plus one model per training ablation strategy, then
 evaluates every model under clip/frame corruption sweeps of both modalities
-and writes per-model sweep CSVs plus merged comparison tables.
+and writes one merged comparison CSV per (corruption, modality) pair, next to
+the dataset, the run configs, the checkpoints and the training logs.
 
 Usage:
     python scripts/run_missing_modality_study.py --out runs/study
@@ -77,21 +78,19 @@ def main() -> int:
 
     for modality in ("video", "audio"):
         for eval_strategy in ("clip_zero", "frame_zero", "frame_repeat"):
-            csvs = []
+            tables = {}
             for strategy, result in trained.items():
                 rows = harness.run_sweep(result.params, result.config, prep.val_windows,
                                          eval_strategy, modality,
                                          list(DEFAULT_GRIDS[eval_strategy]), SWEEP_SEED)
-                path = out / f"trained_{strategy}.csv"
-                harness.write_sweep_csv(rows, path)
-                csvs.append(path)
-            labels, keys, models = harness.merge_reports(csvs)
+                tables[f"trained_{strategy}"] = {
+                    (r.strategy, r.modality, r.probability): (r.ccc_valence, r.ccc_arousal)
+                    for r in rows}
+            labels, keys, models = harness.merge_tables(tables)
             merged = out / f"sweep_{eval_strategy}_{modality}.csv"
             harness.write_merged_csv(labels, keys, models, merged)
             print(f"\n== eval {eval_strategy} on {modality} ==")
             print(harness.format_merged_table(labels, keys, models), flush=True)
-            for path in csvs:
-                path.unlink()
 
     print(f"\nartifacts in {out}")
     return 0

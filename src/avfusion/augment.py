@@ -8,11 +8,10 @@ selects the same frame set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClipRecord
 from .seeding import derive_rng
 
 STRATEGIES = ("none", "clip_zero", "frame_zero", "frame_repeat")
@@ -83,17 +82,3 @@ def ablate_sequence(seq: np.ndarray, spec: AblationSpec, stream_index: int) -> n
         return seq
     return _DISPATCH[spec.strategy](seq, spec.probability, derive_rng(spec.seed, stream_index))
 
-
-def apply(spec: AblationSpec, clips: list[ClipRecord]) -> list[ClipRecord]:
-    """Corrupt the target modality of each clip; everything else passes through.
-
-    Each clip's RNG stream is derived from (spec.seed, clip.id), so results do
-    not depend on batch order and are reproducible.
-    """
-    if spec.strategy == "none":
-        return list(clips)
-    out = []
-    for clip in clips:
-        corrupted = ablate_sequence(getattr(clip, spec.modality), spec, clip.id)
-        out.append(replace(clip, **{spec.modality: corrupted}))
-    return out

@@ -1,9 +1,9 @@
 """Minimal dense-tensor reverse-mode autodiff on float64 numpy arrays.
 
 Covers exactly the operations the fusion model and its CCC loss need:
-matmul, transpose, softmax, layer norm, linear, elementwise arithmetic,
-relu/tanh, reductions, column/row slicing and concatenation, blocked
-multi-head attention kernels, plus a bias-corrected Adam step.
+matmul, layer norm, linear, elementwise arithmetic, relu, mean reduction,
+column slicing, a blocked multi-head attention kernel, plus a bias-corrected
+Adam step.
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
@@ -14,7 +14,7 @@ are plain data and safe to hand between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,9 +29,11 @@ def _shape_err(op: str, *shapes) -> ShapeError:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # single-pass: a finite array in this library's value range sums finite,
-    # while any NaN/Inf survives the reduction
-    if not math.isfinite(float(arr.sum())):
+    # single pass: any NaN/Inf survives the sum; only a non-finite sum (finite
+    # values near the float64 limit can overflow) needs the elementwise test
+    with np.errstate(over="ignore"):
+        total = arr.sum()
+    if not math.isfinite(float(total)) and not np.isfinite(arr).all():
         raise FloatingPointError(f"{op} produced non-finite values")
 
 
@@ -43,7 +45,7 @@ class Tensor:
     during the backward pass.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_op", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -51,32 +53,11 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
         self._backward_rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
-        self._op = "leaf"
         self._backward_done = False
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the module-level functions are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
@@ -88,7 +69,6 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     out.data = out_data
     out.grad = None
     out._backward_done = False
-    out._op = op
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -100,23 +80,9 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     return out
 
 
-@dataclass
-class TapeEntry:
-    inputs: tuple[Tensor, ...]
-    output: Tensor
-    backward_rule: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-
-
-@dataclass
-class Tape:
-    """Recorded operations in topological order (inputs precede their op)."""
-
-    entries: list[TapeEntry] = field(default_factory=list)
-
-
-def build_tape(root: Tensor) -> Tape:
-    """Collect the grad-requiring subgraph below `root` in topological order."""
-    tape = Tape()
+def _build_tape(root: Tensor) -> list[Tensor]:
+    """Op outputs of the grad-requiring subgraph below `root`, in topological order."""
+    tape: list[Tensor] = []
     visited: set[int] = set()
     # iterative postorder: children are appended before their consumer
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -127,7 +93,7 @@ def build_tape(root: Tensor) -> Tape:
         if expanded:
             visited.add(id(node))
             if node._backward_rule is not None:
-                tape.entries.append(TapeEntry(node._parents, node, node._backward_rule))
+                tape.append(node)
             continue
         stack.append((node, True))
         for parent in node._parents:
@@ -136,7 +102,7 @@ def build_tape(root: Tensor) -> Tape:
     return tape
 
 
-def backward(loss: Tensor) -> Tape:
+def backward(loss: Tensor) -> None:
     """Reverse-mode accumulation of d(loss)/d(leaf) into leaf `.grad` buffers.
 
     `loss` must be a scalar produced by recorded operations. A second
@@ -146,15 +112,15 @@ def backward(loss: Tensor) -> Tape:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if loss._backward_done:
         raise RuntimeError("backward called twice on the same graph without reset")
-    tape = build_tape(loss)
-    if not tape.entries:
+    tape = _build_tape(loss)
+    if not tape:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
     # transient grads for op outputs; leaves accumulate into their own buffers
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
-        g = grads.pop(id(entry.output))
-        entry.output.grad = g
-        for parent, pg in zip(entry.inputs, entry.backward_rule(g)):
+    for node in reversed(tape):
+        g = grads.pop(id(node))
+        node.grad = g
+        for parent, pg in zip(node._parents, node._backward_rule(g)):
             if not parent.requires_grad:
                 continue
             if parent._backward_rule is None:
@@ -166,7 +132,6 @@ def backward(loss: Tensor) -> Tape:
                 # rules may return views of g; never mutate, always reallocate
                 grads[id(parent)] = pg if acc is None else acc + pg
     loss._backward_done = True
-    return tape
 
 
 # ---------------------------------------------------------------------------
@@ -183,26 +148,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _record("matmul", out, (a, b), bw)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise _shape_err("transpose", a.data.shape)
-    return _record("transpose", a.data.T, (a,), lambda g: (g.T,), check=False)
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Stable softmax along `axis` (max subtraction is mandatory)."""
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise ValueError(f"softmax axis {axis} out of range for rank {x.data.ndim}")
-    out = x.data - np.max(x.data, axis=axis, keepdims=True)
-    np.exp(out, out)
-    out /= np.sum(out, axis=axis, keepdims=True)
-
-    def bw(g: np.ndarray):
-        return (out * (g - np.sum(g * out, axis=axis, keepdims=True)),)
-
-    return _record("softmax", out, (x,), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -299,18 +244,6 @@ def relu(x: Tensor) -> Tensor:
     return _record("relu", x.data * mask, (x,), lambda g: (g * mask,), check=False)
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _record("tanh", out, (x,), lambda g: (g * (1.0 - out * out),), check=False)
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    shape = x.data.shape
-    return _record("sum", np.asarray(np.sum(x.data)), (x,),
-                   lambda g: (np.full(shape, float(g)),))
-
-
 def tmean(x: Tensor) -> Tensor:
     """Mean of all elements, as a scalar tensor."""
     shape = x.data.shape
@@ -329,32 +262,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
         return (dx,)
 
     return _record("slice_cols", x.data[:, start:stop].copy(), (x,), bw, check=False)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts or any(p.data.ndim != 2 or p.data.shape[0] != parts[0].data.shape[0] for p in parts):
-        raise _shape_err("concat_cols", *[p.data.shape for p in parts])
-    widths = [p.data.shape[1] for p in parts]
-    bounds = np.cumsum([0] + widths)
-
-    def bw(g: np.ndarray):
-        return tuple(g[:, bounds[i]:bounds[i + 1]] for i in range(len(parts)))
-
-    return _record("concat_cols", np.concatenate([p.data for p in parts], axis=1),
-                   tuple(parts), bw, check=False)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts or any(p.data.ndim != 2 or p.data.shape[1] != parts[0].data.shape[1] for p in parts):
-        raise _shape_err("concat_rows", *[p.data.shape for p in parts])
-    heights = [p.data.shape[0] for p in parts]
-    bounds = np.cumsum([0] + heights)
-
-    def bw(g: np.ndarray):
-        return tuple(g[bounds[i]:bounds[i + 1], :] for i in range(len(parts)))
-
-    return _record("concat_rows", np.concatenate([p.data for p in parts], axis=0),
-                   tuple(parts), bw, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +358,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -467,7 +376,7 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+              lr: float) -> None:
     """Bias-corrected Adam update, in place on `params` and `state`."""
     if lr <= 0:
         raise ValueError("adam_step lr must be > 0")
@@ -477,11 +386,11 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: Adam
         if p.data.shape != g.shape or p.data.shape != m.shape:
             raise _shape_err("adam_step", p.data.shape, g.shape, m.shape)
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -25,10 +27,11 @@ class TruncatedFileError(FileFormatError):
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise TruncatedFileError(f"truncated file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+    # checked before reading, so an oversized count never allocates the request
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise TruncatedFileError(f"truncated file: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
 def expect_magic(f: BinaryIO, magic: bytes) -> None:
@@ -72,6 +75,6 @@ def write_f32_array(f: BinaryIO, arr: np.ndarray) -> None:
 
 
 def read_f32_array(f: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints: u32 dims never overflow
     buf = read_exact(f, 4 * count, what)
     return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)

@@ -21,7 +21,7 @@ from .harness import (
     SplitFractions,
     load_run_config,
 )
-from .model import load_checkpoint
+from .model import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,8 +103,9 @@ def _load_train_dataset(run, data_flag):
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     dataset = _load_train_dataset(run, args.data)
-    result = harness.train(run, dataset)
-    harness.save_train_result(result, args.out)
+    prep = harness.prepare_data(dataset, run.splits, run.train.seq_len)
+    result = harness.train_on_prepared(run, prep)
+    save_checkpoint(result.params, result.config, args.out)
     if args.log:
         harness.write_train_log(result.log, args.log)
     for row in result.log:
@@ -119,7 +120,10 @@ def cmd_eval_sweep(args) -> int:
     dataset = load_dataset(args.data)
     splits = load_run_config(args.config).splits if args.config else SplitFractions()
     prep = harness.prepare_data(dataset, splits, config.seq_len)
-    harness.check_data_matches_config(config, prep)
+    if config.d_audio != prep.d_audio or config.d_video != prep.d_video:
+        raise DimensionMismatchError(
+            f"checkpoint expects audio {config.d_audio} / video {config.d_video} dims, "
+            f"data provides {prep.d_audio} / {prep.d_video}")
     if args.probs:
         try:
             probs = [float(tok) for tok in args.probs.split(",") if tok != ""]

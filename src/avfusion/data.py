@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,8 @@ DATASET_MAGIC = b"AVXD"
 DATASET_VERSION = 1
 FPS_VIDEO = 30
 FPS_AUDIO = 100
+# causal audio context stacked onto each video-rate frame: 2 s at 30 fps
+CONTEXT_FRAMES = 2 * FPS_VIDEO
 
 # distinct stream index for dataset-level draws; clip ids are u32 so they never collide
 _DATASET_STREAM = 1 << 32
@@ -63,12 +66,12 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n_clips < 1:
             raise ValueError("n_clips must be >= 1")
-        if self.clip_seconds <= 0:
-            raise ValueError("clip_seconds must be > 0")
-        if self.sigma_audio < 0:
-            raise ValueError("sigma_audio must be >= 0")
-        if self.sigma_video < 0:
-            raise ValueError("sigma_video must be >= 0")
+        if not 0 < self.clip_seconds < math.inf:
+            raise ValueError("clip_seconds must be finite and > 0")
+        if not 0 <= self.sigma_audio < math.inf:
+            raise ValueError("sigma_audio must be finite and >= 0")
+        if not 0 <= self.sigma_video < math.inf:
+            raise ValueError("sigma_video must be finite and >= 0")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
         if self.d_audio_lld < 1 or self.d_video < 1:
@@ -162,14 +165,14 @@ def resample_audio(seq: np.ndarray) -> np.ndarray:
     return seq[np.minimum(idx, seq.shape[0] - 1)].copy()
 
 
-def stack_context(seq: np.ndarray, window_seconds: float = 2.0, fps: int = FPS_VIDEO) -> np.ndarray:
+def stack_context(seq: np.ndarray) -> np.ndarray:
     """Concatenate each frame with its causal context window (oldest first).
 
-    Frame t becomes [f_{t-W+1}; ...; f_t] with W = window_seconds*fps; indices
-    before the clip start repeat frame 0. At 65 input dims and the default 2 s
-    window the output rows are 3900-dimensional.
+    Frame t becomes [f_{t-W+1}; ...; f_t] with W = CONTEXT_FRAMES; indices
+    before the clip start repeat frame 0. At 65 input dims the output rows are
+    3900-dimensional.
     """
-    w = int(round(window_seconds * fps))
+    w = CONTEXT_FRAMES
     t, d = seq.shape
     if t == 0:
         return np.zeros((0, w * d))
@@ -198,9 +201,9 @@ def apply_norm(clip: ClipRecord, stats: NormStats) -> ClipRecord:
                    video=(clip.video - stats.video_mean) / stats.video_std)
 
 
-def sync_clip(clip: ClipRecord, window_seconds: float = 2.0) -> SyncedClip:
+def sync_clip(clip: ClipRecord) -> SyncedClip:
     """Downsample audio, stack its context, truncate both streams to equal length."""
-    stacked = stack_context(resample_audio(clip.audio), window_seconds)
+    stacked = stack_context(resample_audio(clip.audio))
     t_audio, t_video = stacked.shape[0], clip.video.shape[0]
     if abs(t_audio - t_video) > 3:
         raise ValueError(f"sync_clip: clip {clip.id} stream lengths diverge: "
@@ -214,16 +217,15 @@ def sync_clip(clip: ClipRecord, window_seconds: float = 2.0) -> SyncedClip:
 # windowing
 
 
-def window_clips(clips: list[SyncedClip], seq_len: int = 100, stride: int | None = None,
+def window_clips(clips: list[SyncedClip], seq_len: int = 100,
                  evaluation: bool = False) -> list[Window]:
     """Cut synced clips into fixed-length model inputs.
 
-    Training: non-overlapping windows (stride defaults to seq_len), partial
-    tail dropped. Evaluation: non-overlapping windows plus one right-aligned
-    tail window whose already-covered frames are excluded via score_from, so
-    every frame is scored exactly once.
+    Training: non-overlapping windows, partial tail dropped. Evaluation:
+    non-overlapping windows plus one right-aligned tail window whose
+    already-covered frames are excluded via score_from, so every frame is
+    scored exactly once.
     """
-    stride = seq_len if stride is None else stride
     windows: list[Window] = []
     for clip in clips:
         t = clip.audio.shape[0]
@@ -238,7 +240,7 @@ def window_clips(clips: list[SyncedClip], seq_len: int = 100, stride: int | None
                                   clip.video[start:start + seq_len],
                                   clip.labels[start:start + seq_len]))
             covered = start + seq_len
-            start += stride
+            start += seq_len
         if evaluation and covered < t:
             tail = t - seq_len
             windows.append(Window(clip.id, tail,
@@ -284,12 +286,16 @@ def load_dataset(path) -> Dataset:
             fps_a = binio.read_u32(f, "fps_a")
             t_a = binio.read_u32(f, "T_a")
             d_a = binio.read_u32(f, "D_a")
-            video = binio.read_f32_array(f, (t_v, d_v), f"clip {clip_id} video")
-            audio = binio.read_f32_array(f, (t_a, d_a), f"clip {clip_id} audio")
-            labels = binio.read_f32_array(f, (t_v, 2), f"clip {clip_id} labels")
-            if np.any(np.abs(labels) > 1.0):
+            video = binio.read_f32_array(f, (t_v, d_v), f"clip {clip_id} video (T_v x D_v)")
+            audio = binio.read_f32_array(f, (t_a, d_a), f"clip {clip_id} audio (T_a x D_a)")
+            labels = binio.read_f32_array(f, (t_v, 2), f"clip {clip_id} labels (T_v x 2)")
+            if not np.all(np.abs(labels) <= 1.0):  # also rejects NaN
                 raise binio.FileFormatError(
                     f"invariant violation: clip {clip_id} has labels outside [-1, 1]")
+            for name, feats in (("video", video), ("audio", audio)):
+                if not np.isfinite(feats).all():
+                    raise binio.FileFormatError(
+                        f"invariant violation: clip {clip_id} has non-finite {name} features")
             clips.append(ClipRecord(id=clip_id, audio=audio, video=video,
                                     labels=labels, fps_a=fps_a, fps_v=fps_v))
     return Dataset(clips)

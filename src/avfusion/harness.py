@@ -1,6 +1,7 @@
 """Run orchestration: config parsing, training with ablation augmentation,
-evaluation sweeps over corruption probabilities, gradient self-check, and
-sweep-CSV merging.
+evaluation sweeps over corruption probabilities, the gradient self-check and
+its central finite-difference oracle, and merging sweep tables (in memory or
+read from sweep CSVs).
 
 Everything here is deterministic given the config seeds: shuffling, ablation
 masks, and sweep corruption all draw from derived RNG streams keyed by stable
@@ -27,13 +28,7 @@ from .data import (
     window_clips,
 )
 from .metrics import EvalSummary, ccc_loss, eval_summary
-from .model import (
-    ModelConfig,
-    clone_params,
-    init_params,
-    model_forward,
-    save_checkpoint,
-)
+from .model import ModelConfig, clone_params, init_params, model_forward
 from .seeding import derive_rng, mix_seed
 
 SWEEP_HEADER = "strategy,modality,probability,seed,ccc_valence,ccc_arousal"
@@ -260,11 +255,10 @@ def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window]) -
 
 def _ablated_window_inputs(w: Window, spec: AblationSpec, stream_index: int):
     audio, video = w.audio, w.video
-    if spec.strategy != "none":
-        if spec.modality == "audio":
-            audio = ablate_sequence(audio, spec, stream_index)
-        else:
-            video = ablate_sequence(video, spec, stream_index)
+    if spec.modality == "audio":
+        audio = ablate_sequence(audio, spec, stream_index)
+    else:
+        video = ablate_sequence(video, spec, stream_index)
     return audio, video
 
 
@@ -307,10 +301,6 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
             best_params = clone_params(params)
             best_epoch = epoch
     return TrainResult(best_params, config, log, best_epoch)
-
-
-def train(run: RunConfig, dataset: Dataset) -> TrainResult:
-    return train_on_prepared(run, prepare_data(dataset, run.splits, run.train.seq_len))
 
 
 def write_train_log(log: list[EpochLog], path) -> None:
@@ -367,6 +357,27 @@ def write_sweep_csv(rows: list[SweepResult], path) -> None:
 # gradient self-check
 
 
+def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of scalar f() w.r.t. arr; f must re-read arr on every call."""
+    grad = np.zeros_like(arr)
+    flat = arr.ravel()
+    gflat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f()
+        flat[i] = orig - h
+        fm = f()
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return grad
+
+
+def rel_err(got, want) -> float:
+    """Max absolute deviation normalized by the oracle's scale."""
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-8)
+
+
 @dataclass
 class GradCheckReport:
     passed: bool
@@ -395,17 +406,7 @@ def gradcheck(seed: int, h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckR
 
     worst_err, worst_name = 0.0, ""
     for name, p in params.items():
-        fd = np.zeros_like(p.data)
-        flat, fd_flat = p.data.ravel(), fd.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_value()
-            flat[i] = orig - h
-            down = loss_value()
-            flat[i] = orig
-            fd_flat[i] = (up - down) / (2.0 * h)
-        err = np.max(np.abs(p.grad - fd)) / max(np.max(np.abs(fd)), 1e-8)
+        err = rel_err(p.grad, finite_diff_grad(loss_value, p.data, h))
         if err > worst_err:
             worst_err, worst_name = float(err), name
     return GradCheckReport(worst_err < tolerance, worst_err, worst_name, tolerance)
@@ -469,11 +470,7 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
 
 
 def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
-    """Merge sweep CSVs keyed by (strategy, modality, probability).
-
-    Returns (model labels in input order, sorted keys, {label: {key: (v, a)}}).
-    Raises ReportError listing missing keys when the grids are inconsistent.
-    """
+    """Read sweep CSVs (either format) and merge them with `merge_tables`."""
     if not paths:
         raise ReportError("report needs at least one CSV")
     models: dict[str, dict[tuple, tuple[float, float]]] = {}
@@ -482,6 +479,15 @@ def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
             if label in models:
                 raise ReportError(f"duplicate model label {label!r}")
             models[label] = table
+    return merge_tables(models)
+
+
+def merge_tables(models: dict) -> tuple[list[str], list[tuple], dict]:
+    """Merge per-model tables keyed by (strategy, modality, probability).
+
+    Returns (model labels in input order, sorted keys, {label: {key: (v, a)}}).
+    Raises ReportError listing missing keys when the grids are inconsistent.
+    """
     all_keys = sorted({k for table in models.values() for k in table},
                       key=lambda k: (k[0], k[1], -k[2]))
     problems = []
@@ -523,18 +529,3 @@ def format_merged_table(labels: list[str], keys: list[tuple], models: dict) -> s
     widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
     return "\n".join(fmt.format(*row) for row in [header] + body)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint-facing helpers used by the CLI
-
-
-def save_train_result(result: TrainResult, path) -> None:
-    save_checkpoint(result.params, result.config, path)
-
-
-def check_data_matches_config(config: ModelConfig, prep: PreparedData) -> None:
-    if config.d_audio != prep.d_audio or config.d_video != prep.d_video:
-        raise DimensionMismatchError(
-            f"checkpoint expects audio {config.d_audio} / video {config.d_video} dims, "
-            f"data provides {prep.d_audio} / {prep.d_video}")

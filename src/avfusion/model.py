@@ -43,7 +43,8 @@ class ModelConfig:
 
 
 @lru_cache(maxsize=8)
-def _pe_table(seq_len: int, d_model: int) -> np.ndarray:
+def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
+    """Sinusoidal position table [seq_len x d_model], values in [-1, 1] (read-only, cached)."""
     pos = np.arange(seq_len, dtype=np.float64)[:, None]
     half = (d_model + 1) // 2
     freq = 1.0 / np.power(10000.0, 2.0 * np.arange(half) / d_model)
@@ -53,11 +54,6 @@ def _pe_table(seq_len: int, d_model: int) -> np.ndarray:
     pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
     pe.setflags(write=False)
     return pe
-
-
-def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
-    """Sinusoidal position table [seq_len x d_model], values in [-1, 1]."""
-    return _pe_table(seq_len, d_model)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -238,6 +234,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             name = binio.read_exact(f, name_len, "param name").decode("utf-8")
             rank = binio.read_u8(f, "param rank")
             shape = tuple(binio.read_u32(f, "param dim") for _ in range(rank))
+            if name in params:
+                raise binio.FileFormatError(f"duplicate param {name!r} in checkpoint")
             if name not in expected or expected[name] != shape:
                 raise binio.FileFormatError(
                     f"shape inconsistency: param {name!r} has shape {shape}, "

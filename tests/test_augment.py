@@ -7,22 +7,23 @@ from avfusion.augment import (
     MODALITIES,
     STRATEGIES,
     AblationSpec,
-    apply,
+    ablate_sequence,
     carry_forward_fill,
     clip_zero,
     frame_repeat,
     frame_zero,
 )
-from avfusion.data import ClipRecord
+from avfusion.data import Window
+from avfusion.harness import corrupt_windows
 from avfusion.seeding import derive_rng
 
 
-def make_clip(clip_id=0, t_a=20, t_v=12, d_a=3, d_v=4, seed=0):
+def make_window(clip_id=0, t=12, d_a=3, d_v=4, seed=0):
     rng = np.random.default_rng(seed + clip_id)
-    return ClipRecord(id=clip_id,
-                      audio=rng.normal(size=(t_a, d_a)),
-                      video=rng.normal(size=(t_v, d_v)),
-                      labels=rng.uniform(-1, 1, (t_v, 2)))
+    return Window(clip_id=clip_id, start=0,
+                  audio=rng.normal(size=(t, d_a)),
+                  video=rng.normal(size=(t, d_v)),
+                  labels=rng.uniform(-1, 1, (t, 2)))
 
 
 def test_spec_validation():
@@ -88,54 +89,55 @@ def test_vectorized_draws_match_per_frame_draws():
 
 
 def test_apply_none_is_bit_identity():
-    clips = [make_clip(i) for i in range(3)]
-    out = apply(AblationSpec("none", "video", 0.9, 1), clips)
-    for before, after in zip(clips, out):
+    windows = [make_window(i) for i in range(3)]
+    out = corrupt_windows(windows, AblationSpec("none", "video", 0.9, 1))
+    for before, after in zip(windows, out):
         assert after.video is before.video and after.audio is before.audio
 
 
 def test_apply_clip_zero_video_p1():
-    clips = [make_clip(i) for i in range(5)]
-    out = apply(AblationSpec("clip_zero", "video", 1.0, 2), clips)
-    for before, after in zip(clips, out):
+    windows = [make_window(i) for i in range(5)]
+    out = corrupt_windows(windows, AblationSpec("clip_zero", "video", 1.0, 2))
+    for before, after in zip(windows, out):
         assert not after.video.any()
         np.testing.assert_array_equal(after.audio, before.audio)
         np.testing.assert_array_equal(after.labels, before.labels)
 
 
 def test_apply_is_deterministic():
-    clips = [make_clip(i) for i in range(4)]
+    windows = [make_window(i) for i in range(4)]
     spec = AblationSpec("frame_zero", "audio", 0.5, 3)
-    a, b = apply(spec, clips), apply(spec, clips)
+    a, b = corrupt_windows(windows, spec), corrupt_windows(windows, spec)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x.audio, y.audio)
 
 
 def test_apply_is_order_independent():
-    clips = [make_clip(i) for i in range(6)]
+    # each stream is keyed by (seed, index), never by the order of the calls
+    seqs = [make_window(i).video for i in range(6)]
     spec = AblationSpec("frame_repeat", "video", 0.5, 4)
-    forward = {c.id: c for c in apply(spec, clips)}
-    backward = {c.id: c for c in apply(spec, clips[::-1])}
-    for cid in forward:
-        np.testing.assert_array_equal(forward[cid].video, backward[cid].video)
+    forward = {i: ablate_sequence(seqs[i], spec, i) for i in range(6)}
+    backward = {i: ablate_sequence(seqs[i], spec, i) for i in reversed(range(6))}
+    for i in forward:
+        np.testing.assert_array_equal(forward[i], backward[i])
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(STRATEGIES), st.sampled_from(MODALITIES),
        st.floats(0.0, 1.0), st.integers(0, 2**32))
 def test_apply_never_changes_shapes_or_labels(strategy, modality, p, seed):
-    clips = [make_clip(i, seed=17) for i in range(2)]
-    out = apply(AblationSpec(strategy, modality, p, seed), clips)
-    for before, after in zip(clips, out):
+    windows = [make_window(i, seed=17) for i in range(2)]
+    out = corrupt_windows(windows, AblationSpec(strategy, modality, p, seed))
+    for before, after in zip(windows, out):
         assert after.audio.shape == before.audio.shape
         assert after.video.shape == before.video.shape
         np.testing.assert_array_equal(after.labels, before.labels)
 
 
 def test_zero_probability_is_a_unit():
-    clips = [make_clip(i) for i in range(4)]
-    once = apply(AblationSpec("clip_zero", "video", 0.6, 5), clips)
-    twice = apply(AblationSpec("clip_zero", "video", 0.0, 99), once)
+    windows = [make_window(i) for i in range(4)]
+    once = corrupt_windows(windows, AblationSpec("clip_zero", "video", 0.6, 5))
+    twice = corrupt_windows(once, AblationSpec("clip_zero", "video", 0.0, 99))
     for x, y in zip(once, twice):
         np.testing.assert_array_equal(x.video, y.video)
         np.testing.assert_array_equal(x.audio, y.audio)

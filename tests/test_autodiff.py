@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from avfusion import autodiff as ad
-from fdcheck import finite_diff_grad, rel_err
+from avfusion.harness import finite_diff_grad, rel_err
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -29,8 +31,8 @@ def test_matmul_hand_oracle():
 def test_matmul_grad_vs_finite_differences():
     a = ad.Tensor(rand((3, 4), 2), requires_grad=True)
     b = ad.Tensor(rand((4, 5), 3))
-    ad.backward(ad.tsum(ad.matmul(a, b)))
-    fd = finite_diff_grad(lambda: np.sum(a.data @ b.data), a.data)
+    ad.backward(ad.tmean(ad.matmul(a, b)))
+    fd = finite_diff_grad(lambda: np.mean(a.data @ b.data), a.data)
     assert rel_err(a.grad, fd) < 1e-6
 
 
@@ -39,43 +41,56 @@ def test_matmul_shape_mismatch_names_both_shapes():
         ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
 
 
-# --- softmax ---
+# --- softmax (the key-axis softmax inside the attention kernel) ---
+
+
+def _attend(q, k, v, num_heads=1):
+    q, k, v = (ad.Tensor(np.asarray(x, dtype=float)) for x in (q, k, v))
+    return ad.attention(q, k, v, num_heads, block_len=q.data.shape[0]).data
 
 
 def test_softmax_constant_row_is_uniform():
-    out = ad.softmax(ad.Tensor([[7.3, 7.3, 7.3]]), axis=1)
-    np.testing.assert_allclose(out.data, np.full((1, 3), 1.0 / 3.0), rtol=0, atol=1e-15)
+    # equal keys give equal scores, so every query averages the values
+    v = rand((3, 2), 40)
+    out = _attend(rand((3, 2), 41), np.full((3, 2), 7.3), v)
+    np.testing.assert_allclose(out, np.tile(np.mean(v, axis=0), (3, 1)), rtol=0, atol=1e-15)
 
 
 def test_softmax_direct_evaluation():
-    out = ad.softmax(ad.Tensor([0.0, np.log(2.0)]), axis=0)
-    np.testing.assert_allclose(out.data, [1.0 / 3.0, 2.0 / 3.0], atol=1e-15)
+    # one head of width 1: scores 0 and log 2 weight the values 1/3 and 2/3
+    out = _attend([[1.0], [1.0]], [[0.0], [np.log(2.0)]], [[3.0], [6.0]])
+    np.testing.assert_allclose(out, [[5.0], [5.0]], atol=1e-14)
 
 
 def test_softmax_large_values_do_not_overflow():
-    out = ad.softmax(ad.Tensor([1e6, 0.0]), axis=0)
-    assert np.all(out.data >= 0.0) and np.all(out.data <= 1.0)
+    # scores 1e6 and 0: all weight on the first key, nothing overflows
+    out = _attend([[1e3], [1e3]], [[1e3], [0.0]], [[2.0], [-4.0]])
+    np.testing.assert_array_equal(out, [[2.0], [2.0]])
 
 
 @settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, (4, 5), elements=st.floats(-50, 50)), st.floats(-100, 100))
-def test_softmax_rows_sum_to_one_and_shift_invariant(x, c):
-    out = ad.softmax(ad.Tensor(x), axis=1)
-    np.testing.assert_allclose(np.sum(out.data, axis=1), np.ones(4), atol=1e-12)
-    shifted = ad.softmax(ad.Tensor(x + c), axis=1)
-    np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
+@given(arrays(np.float64, (3, 4, 4), elements=st.floats(-1, 1)),
+       arrays(np.float64, (4,), elements=st.floats(-10, 10)))
+def test_softmax_rows_sum_to_one_and_shift_invariant(qkv, c):
+    q, k, v = qkv
+    # weights summing to one return a constant value row unchanged
+    np.testing.assert_allclose(_attend(q, k, np.ones((4, 4)), num_heads=2),
+                               np.ones((4, 4)), atol=1e-12)
+    # adding one vector to every key shifts each query's scores by a constant
+    np.testing.assert_allclose(_attend(q, k + c, v, num_heads=2),
+                               _attend(q, k, v, num_heads=2), atol=1e-12)
 
 
 def test_softmax_grad_vs_finite_differences():
-    x = ad.Tensor(rand((3, 4), 4), requires_grad=True)
-    w = rand((3, 4), 5)  # fixed weighting so the loss depends on every output
-    ad.backward(ad.tsum(ad.mul(ad.softmax(x, axis=1), ad.Tensor(w))))
+    q, k, v = (ad.Tensor(rand((6, 4), seed), requires_grad=True) for seed in (4, 42, 43))
+    w = rand((6, 4), 5)  # fixed weighting so the loss depends on every output
+    ad.backward(ad.tmean(ad.mul(ad.attention(q, k, v, 2, block_len=3), ad.Tensor(w))))
 
     def f():
-        e = np.exp(x.data - np.max(x.data, axis=1, keepdims=True))
-        return np.sum(e / np.sum(e, axis=1, keepdims=True) * w)
+        return float(ad.tmean(ad.mul(ad.attention(q, k, v, 2, block_len=3), ad.Tensor(w))).data)
 
-    assert rel_err(x.grad, finite_diff_grad(f, x.data)) < 1e-6
+    for t in (q, k, v):
+        assert rel_err(t.grad, finite_diff_grad(f, t.data)) < 1e-6
 
 
 # --- layer_norm ---
@@ -104,12 +119,12 @@ def test_layer_norm_grad_vs_finite_differences():
     bias = ad.Tensor(rand(6, 10), requires_grad=True)
     w = rand((4, 6), 11)
     eps = 1e-5
-    ad.backward(ad.tsum(ad.mul(ad.layer_norm(x, gain, bias, eps), ad.Tensor(w))))
+    ad.backward(ad.tmean(ad.mul(ad.layer_norm(x, gain, bias, eps), ad.Tensor(w))))
 
     def f():
         mu = np.mean(x.data, axis=1, keepdims=True)
         var = np.mean((x.data - mu) ** 2, axis=1, keepdims=True)
-        return np.sum(((x.data - mu) / np.sqrt(var + eps) * gain.data + bias.data) * w)
+        return np.mean(((x.data - mu) / np.sqrt(var + eps) * gain.data + bias.data) * w)
 
     for t in (x, gain, bias):
         assert rel_err(t.grad, finite_diff_grad(f, t.data)) < 1e-4
@@ -131,8 +146,8 @@ def test_linear_grad_vs_finite_differences():
     x = ad.Tensor(rand((3, 4), 15), requires_grad=True)
     w = ad.Tensor(rand((4, 2), 16), requires_grad=True)
     b = ad.Tensor(rand(2, 17), requires_grad=True)
-    ad.backward(ad.tsum(ad.linear(x, w, b)))
-    f = lambda: np.sum(x.data @ w.data + b.data)
+    ad.backward(ad.tmean(ad.linear(x, w, b)))
+    f = lambda: np.mean(x.data @ w.data + b.data)
     for t in (x, w, b):
         assert rel_err(t.grad, finite_diff_grad(f, t.data)) < 1e-6
 
@@ -151,12 +166,6 @@ def test_relu_forced_values():
     np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
 
-def test_tanh_grad_vs_finite_differences():
-    x = ad.Tensor(rand((3, 3), 19), requires_grad=True)
-    ad.backward(ad.tsum(ad.tanh(x)))
-    assert rel_err(x.grad, finite_diff_grad(lambda: np.sum(np.tanh(x.data)), x.data)) < 1e-6
-
-
 @settings(max_examples=25, deadline=None)
 @given(arrays(np.float64, (3, 4), elements=st.floats(-1, 1)),
        arrays(np.float64, (3, 4), elements=st.floats(-1, 1)))
@@ -164,7 +173,7 @@ def test_elementwise_ops_are_pure(xa, xb):
     a, b = ad.Tensor(xa.copy()), ad.Tensor(xb.copy())
     for op in (ad.add, ad.sub, ad.mul):
         op(a, b)
-    ad.relu(a), ad.tanh(a), ad.scale(a, 2.5)
+    ad.relu(a), ad.scale(a, 2.5)
     np.testing.assert_array_equal(a.data, xa)
     np.testing.assert_array_equal(b.data, xb)
 
@@ -178,8 +187,8 @@ def test_elementwise_ops_are_pure(xa, xb):
 def test_binary_op_grads_vs_finite_differences(op, ref):
     a = ad.Tensor(rand((3, 4), 20), requires_grad=True)
     b = ad.Tensor(rand((3, 4), 21, lo=0.5, hi=1.5), requires_grad=True)
-    ad.backward(ad.tsum(op(a, b)))
-    f = lambda: np.sum(ref(a.data, b.data))
+    ad.backward(ad.tmean(op(a, b)))
+    f = lambda: np.mean(ref(a.data, b.data))
     assert rel_err(a.grad, finite_diff_grad(f, a.data)) < 1e-4
     assert rel_err(b.grad, finite_diff_grad(f, b.data)) < 1e-4
 
@@ -187,28 +196,17 @@ def test_binary_op_grads_vs_finite_differences(op, ref):
 def test_scalar_broadcast_grad():
     a = ad.Tensor(rand((3, 4), 22), requires_grad=True)
     s = ad.Tensor(0.7, requires_grad=True)
-    ad.backward(ad.tsum(ad.mul(a, s)))
-    np.testing.assert_allclose(s.grad, np.sum(a.data), atol=1e-12)
-    np.testing.assert_allclose(a.grad, np.full((3, 4), 0.7), atol=1e-12)
+    ad.backward(ad.tmean(ad.mul(a, s)))
+    np.testing.assert_allclose(s.grad, np.mean(a.data), atol=1e-12)
+    np.testing.assert_allclose(a.grad, np.full((3, 4), 0.7 / 12), atol=1e-12)
 
 
-def test_slice_concat_roundtrip_and_grad():
+def test_slice_cols_grad_vs_finite_differences():
     x = ad.Tensor(rand((4, 6), 23), requires_grad=True)
-    parts = [ad.slice_cols(x, i * 2, (i + 1) * 2) for i in range(3)]
-    out = ad.concat_cols(parts)
-    np.testing.assert_array_equal(out.data, x.data)
-    ad.backward(ad.tsum(ad.mul(out, ad.Tensor(rand((4, 6), 24)))))
-    assert x.grad is not None and x.grad.shape == (4, 6)
-
-
-def test_concat_rows_grad_vs_finite_differences():
-    a = ad.Tensor(rand((2, 3), 25), requires_grad=True)
-    b = ad.Tensor(rand((4, 3), 26), requires_grad=True)
-    w = rand((6, 3), 27)
-    ad.backward(ad.tsum(ad.mul(ad.concat_rows([a, b]), ad.Tensor(w))))
-    f = lambda: np.sum(np.concatenate([a.data, b.data], axis=0) * w)
-    assert rel_err(a.grad, finite_diff_grad(f, a.data)) < 1e-6
-    assert rel_err(b.grad, finite_diff_grad(f, b.data)) < 1e-6
+    w = rand((4, 2), 24)
+    ad.backward(ad.tmean(ad.mul(ad.slice_cols(x, 2, 4), ad.Tensor(w))))
+    assert rel_err(x.grad, finite_diff_grad(lambda: np.mean(x.data[:, 2:4] * w), x.data)) < 1e-6
+    np.testing.assert_array_equal(x.grad[:, [0, 1, 4, 5]], np.zeros((4, 4)))
 
 
 # --- backward mechanics ---
@@ -216,19 +214,19 @@ def test_concat_rows_grad_vs_finite_differences():
 
 def test_backward_sum_gives_ones():
     x = ad.Tensor(rand((3, 4), 28), requires_grad=True)
-    ad.backward(ad.tsum(x))
+    ad.backward(ad.scale(ad.tmean(x), x.data.size))  # the sum, as n * mean
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_sum_of_square_gives_2x():
     x = ad.Tensor(rand((3, 4), 29), requires_grad=True)
-    ad.backward(ad.tsum(ad.mul(x, x)))
+    ad.backward(ad.scale(ad.tmean(ad.mul(x, x)), x.data.size))
     np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-12)
 
 
 def test_backward_twice_raises():
     x = ad.Tensor(rand((2, 2), 30), requires_grad=True)
-    loss = ad.tsum(x)
+    loss = ad.tmean(x)
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="twice"):
         ad.backward(loss)
@@ -249,22 +247,33 @@ def test_tape_is_topological_and_each_op_visited_once():
     x = ad.Tensor(rand((2, 2), 32), requires_grad=True)
     y = ad.mul(x, x)
     z = ad.add(y, y)  # diamond: y used twice
-    loss = ad.tsum(z)
-    tape = ad.build_tape(loss)
+    loss = ad.tmean(z)
+    tape = ad._build_tape(loss)
+    assert tape[-1] is loss
     seen: set[int] = {id(x)}
-    for entry in tape.entries:
-        for parent in entry.inputs:
+    for node in tape:
+        for parent in node._parents:
             if parent.requires_grad:
                 assert id(parent) in seen
-        assert id(entry.output) not in seen  # visited exactly once
-        seen.add(id(entry.output))
-    ad.backward(loss)
-    np.testing.assert_allclose(x.grad, 4.0 * x.data, atol=1e-12)
+        assert id(node) not in seen  # visited exactly once
+        seen.add(id(node))
+    assert ad.backward(loss) is None
+    np.testing.assert_allclose(x.grad, 4.0 * x.data / 4, atol=1e-12)
 
 
 def test_division_by_zero_is_not_silent():
     with pytest.raises(FloatingPointError):
         ad.div(ad.Tensor([1.0]), ad.Tensor([0.0]))
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    big = ad.Tensor(np.full(4, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing check sum stays silent
+        out = ad.add(big, ad.Tensor(np.zeros(4)))
+    np.testing.assert_array_equal(out.data, big.data)
+    with pytest.raises(FloatingPointError):
+        ad.add(big, ad.Tensor(np.array([0.0, 0.0, np.nan, 0.0])))
 
 
 # --- adam ---

@@ -27,6 +27,10 @@ TINY = SyntheticConfig(n_clips=4, clip_seconds=5.0, seed=9)
 def test_synthetic_config_validation():
     with pytest.raises(ValueError, match="sigma_video"):
         SyntheticConfig(n_clips=1, clip_seconds=1.0, sigma_video=-0.1)
+    for field in ("sigma_audio", "sigma_video", "clip_seconds"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SyntheticConfig(**{"n_clips": 1, "clip_seconds": 1.0, field: bad})
     with pytest.raises(ValueError, match="rho"):
         SyntheticConfig(n_clips=1, clip_seconds=1.0, rho=1.0)
     with pytest.raises(ValueError, match="n_clips"):
@@ -233,11 +237,52 @@ def test_dataset_same_seed_same_bytes(tmp_path):
 
 
 def test_dataset_label_range_error_names_clip(tmp_path):
-    clip = ClipRecord(id=7, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
-                      labels=np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 0.0]]))
+    for bad in (1.5, np.nan):
+        clip = ClipRecord(id=7, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                          labels=np.array([[0.0, 0.0], [bad, 0.0], [0.0, 0.0]]))
+        path = tmp_path / "bad.avxd"
+        save_dataset(Dataset([clip]), path)
+        with pytest.raises(binio.FileFormatError, match="clip 7"):
+            load_dataset(path)
+
+
+@pytest.mark.parametrize("stream", ["audio", "video"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_dataset_non_finite_features_error_names_clip(tmp_path, stream, bad):
+    clip = ClipRecord(id=4, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                      labels=np.zeros((3, 2)))
+    getattr(clip, stream)[1, 1] = bad
     path = tmp_path / "bad.avxd"
     save_dataset(Dataset([clip]), path)
-    with pytest.raises(binio.FileFormatError, match="clip 7"):
+    with pytest.raises(binio.FileFormatError, match=f"clip 4 has non-finite {stream}"):
+        load_dataset(path)
+
+
+def _one_clip_file(path, t_v, d_v):
+    """A valid one-clip dataset file whose header then claims T_v x D_v video."""
+    clip = ClipRecord(id=0, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                      labels=np.zeros((3, 2)))
+    save_dataset(Dataset([clip]), path)
+    raw = bytearray(path.read_bytes())
+    raw[20:28] = struct.pack("<II", t_v, d_v)  # after magic, version, count, id, fps_v
+    path.write_bytes(bytes(raw))
+    return len(raw) - 40  # bytes after the clip header
+
+
+def test_dataset_oversized_dims_name_the_field(tmp_path):
+    path = tmp_path / "huge.avxd"
+    _one_clip_file(path, 2**32 - 1, 2**32 - 1)
+    with pytest.raises(binio.TruncatedFileError,
+                       match=rf"clip 0 video \(T_v x D_v\) needs {4 * (2**32 - 1)**2} bytes"):
+        load_dataset(path)
+
+
+def test_dataset_count_just_past_end_of_file(tmp_path):
+    path = tmp_path / "over.avxd"
+    left = _one_clip_file(path, 1, 1)
+    _one_clip_file(path, left // 4 + 1, 1)
+    with pytest.raises(binio.TruncatedFileError,
+                       match=rf"\(T_v x D_v\) needs {4 * (left // 4 + 1)} bytes, {left} left"):
         load_dataset(path)
 
 

@@ -6,20 +6,21 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion import harness
 from avfusion.cli import main
-from avfusion.data import SyntheticConfig, generate_synthetic, save_dataset
+from avfusion.data import Dataset, SyntheticConfig, generate_synthetic, save_dataset
 from avfusion.harness import (
     ConfigError,
     ReportError,
     SplitFractions,
     gradcheck,
     merge_reports,
+    merge_tables,
     prepare_data,
     run_config_from_dict,
     run_sweep,
     train_on_prepared,
     write_sweep_csv,
 )
-from avfusion.model import load_checkpoint
+from avfusion.model import load_checkpoint, save_checkpoint
 
 TINY_RUN = {
     "model": {"d_model": 8, "num_layers": 1, "num_heads": 2, "ffn_mult": 2},
@@ -114,11 +115,10 @@ def test_training_with_ablation_runs(tiny_prep):
 
 def test_checkpoint_roundtrip_preserves_ccc(tiny_result, tiny_prep, tmp_path):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    harness.save_train_result(tiny_result, p1)
+    save_checkpoint(tiny_result.params, tiny_result.config, p1)
     params1, config = load_checkpoint(p1)
     s1 = harness.evaluate_windows(params1, config, tiny_prep.val_windows)
-    from avfusion.harness import TrainResult
-    harness.save_train_result(TrainResult(params1, config, [], 0), p2)
+    save_checkpoint(params1, config, p2)
     params2, _ = load_checkpoint(p2)
     s2 = harness.evaluate_windows(params2, config, tiny_prep.val_windows)
     assert s1.ccc_valence == s2.ccc_valence and s1.ccc_arousal == s2.ccc_arousal
@@ -224,6 +224,23 @@ def test_report_remerge_is_idempotent(tmp_path):
     assert merged1.read_bytes() == merged2.read_bytes()
 
 
+def test_merge_tables_in_memory_equals_merging_sweep_csvs(tiny_result, tiny_prep, tmp_path):
+    tables, paths = {}, []
+    for label, seed in (("trained_none", 2), ("trained_clip_zero", 3)):
+        rows = run_sweep(tiny_result.params, tiny_result.config, tiny_prep.val_windows,
+                         "frame_repeat", "video", [0.0, 1.0, 0.5], seed)
+        tables[label] = {(r.strategy, r.modality, r.probability):
+                         (r.ccc_valence, r.ccc_arousal) for r in rows}
+        paths.append(tmp_path / f"{label}.csv")
+        write_sweep_csv(rows, paths[-1])
+    merged = merge_tables(tables)
+    assert merged == merge_reports(paths)
+    assert merged[1] == [("frame_repeat", "video", p) for p in (1.0, 0.5, 0.0)]
+    del tables["trained_clip_zero"][("frame_repeat", "video", 0.5)]
+    with pytest.raises(ReportError, match="trained_clip_zero missing"):
+        merge_tables(tables)
+
+
 def test_report_averages_multiple_seeds_per_key(tmp_path):
     a = tmp_path / "multi.csv"
     _write_csv(a, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4"])
@@ -294,6 +311,26 @@ def test_cli_negative_sigma_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"n_clips": 2, "clip_seconds": 1.0, "sigma_video": -1.0}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.avxd")]) == 2
     assert "sigma_video" in capsys.readouterr().err
+
+
+def test_cli_infinite_sigma_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n_clips": 2, "clip_seconds": 1.0, "sigma_audio": Infinity}')
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.avxd")]) == 2
+    assert "sigma_audio" in capsys.readouterr().err
+    assert not (tmp_path / "x.avxd").exists()
+
+
+def test_cli_train_on_non_finite_features_exits_2(cli_artifacts, tmp_path, capsys):
+    _, config_path, _, _ = cli_artifacts
+    clip = generate_synthetic(SyntheticConfig(**TINY_RUN["data"])).clips[0]
+    clip.audio[3, 1] = np.inf
+    save_dataset(Dataset([clip]), tmp_path / "inf.avxd")
+    code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "inf.avxd"),
+                 "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite audio" in err
 
 
 def test_cli_unknown_strategy_exits_2(cli_artifacts):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from avfusion import autodiff as ad
+from avfusion.harness import finite_diff_grad, rel_err
 from avfusion.metrics import ccc, ccc_loss, eval_summary
-from fdcheck import finite_diff_grad, rel_err
 
 
 def test_ccc_perfect_concordance():

@@ -292,3 +292,16 @@ def test_checkpoint_shape_inconsistency(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(binio.FileFormatError, match="shape inconsistency"):
         load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_param_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    params = init_params(SMALL, seed=19)
+    save_checkpoint(params, SMALL, path)
+    raw = bytearray(path.read_bytes())
+    # Wk becomes a second Wq: same name length and shape, so only the repeat is wrong
+    at = raw.index(b"audio.layers.0.attn.Wk")
+    raw[at:at + 22] = b"audio.layers.0.attn.Wq"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(binio.FileFormatError, match="duplicate param 'audio.layers.0.attn.Wq'"):
+        load_checkpoint(path)
