@@ -41,8 +41,10 @@ class Tensor:
     """Dense row-major float64 tensor; participates in the recorded graph.
 
     Leaf tensors created with requires_grad=True own a zeroed grad buffer that
-    backward() accumulates into; operation outputs receive their grad array
-    during the backward pass.
+    backward() accumulates into. Operation outputs never hold a grad: their
+    gradient is transient inside backward(), which also drops each output's
+    parents and backward rule once the rule has run, so forward activations
+    are freed as the pass goes.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done")
@@ -94,6 +96,9 @@ def _build_tape(root: Tensor) -> list[Tensor]:
             visited.add(id(node))
             if node._backward_rule is not None:
                 tape.append(node)
+            elif node._backward_done:
+                raise RuntimeError("backward through a graph already freed by an earlier "
+                                   "backward: rerun the forward")
             continue
         stack.append((node, True))
         for parent in node._parents:
@@ -105,8 +110,9 @@ def _build_tape(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Reverse-mode accumulation of d(loss)/d(leaf) into leaf `.grad` buffers.
 
-    `loss` must be a scalar produced by recorded operations. A second
-    backward on the same tensor is an error (rerun the forward instead).
+    `loss` must be a scalar produced by recorded operations. The pass frees
+    the graph as it goes, so a second backward on the same tensor, or on a
+    new graph built on its op outputs, is an error (rerun the forward instead).
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -117,11 +123,14 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
     # transient grads for op outputs; leaves accumulate into their own buffers
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape):
-        g = grads.pop(id(node))
-        node.grad = g
-        for parent, pg in zip(node._parents, node._backward_rule(g)):
-            if not parent.requires_grad:
+    while tape:
+        # popping drops the tape's reference; every consumer of `node` ran
+        # before it, so once its rule has run nothing in the graph holds it
+        node = tape.pop()
+        parents, rule = node._parents, node._backward_rule
+        node._parents, node._backward_rule, node._backward_done = (), None, True
+        for parent, pg in zip(parents, rule(grads.pop(id(node)))):
+            if pg is None or not parent.requires_grad:
                 continue
             if parent._backward_rule is None:
                 if parent.grad is None:
@@ -131,7 +140,6 @@ def backward(loss: Tensor) -> None:
                 acc = grads.get(id(parent))
                 # rules may return views of g; never mutate, always reallocate
                 grads[id(parent)] = pg if acc is None else acc + pg
-    loss._backward_done = True
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bw(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
+        # a data input (requires_grad=False) gets no gradient product
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record("matmul", out, (a, b), bw)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,6 +65,16 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # values come from JSON: name a string, null or boolean field here
+        # instead of failing in a comparison below
+        for name in ("n_clips", "d_audio_lld", "d_video", "seed",
+                     "clip_seconds", "sigma_audio", "sigma_video", "rho"):
+            value = getattr(self, name)
+            integral = name in ("n_clips", "d_audio_lld", "d_video", "seed")
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                                 f"got {value!r}")
         if self.n_clips < 1:
             raise ValueError("n_clips must be >= 1")
         if not 0 < self.clip_seconds < math.inf:
@@ -90,7 +101,7 @@ class NormStats:
 class SyncedClip:
     """One clip after the sync pipeline: both streams at 30 fps, equal length."""
     id: int
-    audio: np.ndarray   # [T x (60 * D_a)]
+    audio: np.ndarray   # [T x (60 * D_a)], read-only view sharing one padded frame array
     video: np.ndarray   # [T x D_v]
     labels: np.ndarray  # [T x 2]
 
@@ -171,14 +182,18 @@ def stack_context(seq: np.ndarray) -> np.ndarray:
     Frame t becomes [f_{t-W+1}; ...; f_t] with W = CONTEXT_FRAMES; indices
     before the clip start repeat frame 0. At 65 input dims the output rows are
     3900-dimensional.
+
+    The result is a read-only strided view: row t is the W*d values that start
+    at row t of one padded (t+W-1) x d array, so consecutive rows share all but
+    d of their values and the stacked rows are never materialized. Consumers
+    copy (concatenate, corrupt) before writing or multiplying.
     """
     w = CONTEXT_FRAMES
     t, d = seq.shape
     if t == 0:
         return np.zeros((0, w * d))
     padded = np.concatenate([np.repeat(seq[:1], w - 1, axis=0), seq], axis=0)
-    view = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)
-    return np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(t, w * d)
+    return np.lib.stride_tricks.sliding_window_view(padded.ravel(), w * d)[::d]
 
 
 def fit_norm(clips: list[ClipRecord]) -> NormStats:
@@ -286,6 +301,11 @@ def load_dataset(path) -> Dataset:
             fps_a = binio.read_u32(f, "fps_a")
             t_a = binio.read_u32(f, "T_a")
             d_a = binio.read_u32(f, "D_a")
+            # the sync pipeline resamples a fixed 100 -> 30 fps
+            for name, fps, want in (("fps_v", fps_v, FPS_VIDEO), ("fps_a", fps_a, FPS_AUDIO)):
+                if fps != want:
+                    raise binio.FileFormatError(
+                        f"unsupported rate: clip {clip_id} has {name}={fps}, expected {want}")
             video = binio.read_f32_array(f, (t_v, d_v), f"clip {clip_id} video (T_v x D_v)")
             audio = binio.read_f32_array(f, (t_a, d_a), f"clip {clip_id} audio (T_a x D_a)")
             labels = binio.read_f32_array(f, (t_v, 2), f"clip {clip_id} labels (T_v x 2)")

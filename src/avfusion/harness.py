@@ -78,14 +78,22 @@ class RunConfig:
 
 
 def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} section must be a JSON object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
 
 
+def _number(section: str, obj: dict, key: str, default, kind: type):
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from exc
+
+
 def synthetic_config_from_dict(obj: dict) -> SyntheticConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("data section must be a JSON object")
     allowed = {"n_clips", "clip_seconds", "d_audio_lld", "d_video",
                "sigma_audio", "sigma_video", "rho", "seed"}
     _check_keys("data", obj, allowed)
@@ -94,7 +102,7 @@ def synthetic_config_from_dict(obj: dict) -> SyntheticConfig:
             raise ConfigError(f"data.{required} is required")
     try:
         return SyntheticConfig(**obj)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -105,8 +113,8 @@ def ablation_from_dict(obj: dict) -> AblationSpec:
     try:
         return AblationSpec(strategy=obj["strategy"],
                             modality=obj.get("modality", "video"),
-                            probability=float(obj.get("probability", 0.5)),
-                            seed=int(obj.get("seed", 0)))
+                            probability=_number("ablation", obj, "probability", 0.5, float),
+                            seed=_number("ablation", obj, "seed", 0, int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -117,11 +125,11 @@ def run_config_from_dict(obj: dict) -> RunConfig:
     _check_keys("train", train_obj, {"lr", "epochs", "batch_size", "seq_len", "seed"})
     if "epochs" not in train_obj:
         raise ConfigError("train.epochs is required")
-    train = TrainParams(epochs=int(train_obj["epochs"]),
-                        lr=float(train_obj.get("lr", 1e-4)),
-                        batch_size=int(train_obj.get("batch_size", 16)),
-                        seq_len=int(train_obj.get("seq_len", 100)),
-                        seed=int(train_obj.get("seed", 0)))
+    train = TrainParams(epochs=_number("train", train_obj, "epochs", None, int),
+                        lr=_number("train", train_obj, "lr", 1e-4, float),
+                        batch_size=_number("train", train_obj, "batch_size", 16, int),
+                        seq_len=_number("train", train_obj, "seq_len", 100, int),
+                        seed=_number("train", train_obj, "seed", 0, int))
     if train.lr <= 0:
         raise ConfigError("train.lr must be > 0")
     if train.epochs < 1:
@@ -129,14 +137,14 @@ def run_config_from_dict(obj: dict) -> RunConfig:
     if train.batch_size < 1:
         raise ConfigError("train.batch_size must be >= 1")
 
-    model_obj = dict(obj.get("model", {}))
+    model_obj = obj.get("model", {})
     _check_keys("model", model_obj,
                 {"num_layers", "d_model", "num_heads", "ffn_mult", "d_audio", "d_video", "seq_len"})
 
     splits_obj = obj.get("splits", {})
     _check_keys("splits", splits_obj, {"train", "val"})
-    splits = SplitFractions(train=float(splits_obj.get("train", 0.8)),
-                            val=float(splits_obj.get("val", 0.2)))
+    splits = SplitFractions(train=_number("splits", splits_obj, "train", 0.8, float),
+                            val=_number("splits", splits_obj, "val", 0.2, float))
     if splits.train <= 0 or splits.val <= 0 or splits.train + splits.val > 1.0 + 1e-9:
         raise ConfigError("splits.train/splits.val must be positive with sum <= 1")
 
@@ -153,7 +161,7 @@ def run_config_from_dict(obj: dict) -> RunConfig:
         else:
             data_cfg = synthetic_config_from_dict(data_obj)
 
-    return RunConfig(train=train, model=model_obj, ablation=ablation,
+    return RunConfig(train=train, model=dict(model_obj), ablation=ablation,
                      data=data_cfg, data_path=data_path, splits=splits)
 
 
@@ -210,7 +218,7 @@ def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
         spec[dim] = have
     try:
         return ModelConfig(**spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -460,6 +468,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             labels.append(col[: -len("_ccc_valence")])
         models: dict[str, dict[tuple, tuple[float, float]]] = {lbl: {} for lbl in labels}
         for row in rows:
+            if len(row) != 3 + 2 * len(labels):
+                raise ReportError(f"{path}: malformed row {row!r}")
             key = (row[0], row[1], _parse_float(row[2], str(path)))
             for j, lbl in enumerate(labels):
                 v = _parse_float(row[3 + 2 * j], str(path))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -36,8 +37,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("d_audio", "d_video", "num_layers", "d_model", "num_heads", "ffn_mult", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"ModelConfig.{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"ModelConfig.{name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by num_heads={self.num_heads}")
 
@@ -104,10 +106,9 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
 
 
 def clone_params(params: ParameterSet) -> ParameterSet:
-    out: ParameterSet = {}
-    for name, p in params.items():
-        out[name] = ad.Tensor(p.data.copy(), requires_grad=True)
-    return out
+    """Snapshot of the values, without grad buffers: snapshots are only
+    evaluated and saved, so a forward on them records no graph."""
+    return {name: ad.Tensor(p.data.copy()) for name, p in params.items()}
 
 
 def multi_head_attention(q_src: ad.Tensor, kv_src: ad.Tensor,

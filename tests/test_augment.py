@@ -13,7 +13,7 @@ from avfusion.augment import (
     frame_repeat,
     frame_zero,
 )
-from avfusion.data import Window
+from avfusion.data import Window, stack_context
 from avfusion.harness import corrupt_windows
 from avfusion.seeding import derive_rng
 
@@ -141,3 +141,17 @@ def test_zero_probability_is_a_unit():
     for x, y in zip(once, twice):
         np.testing.assert_array_equal(x.video, y.video)
         np.testing.assert_array_equal(x.audio, y.audio)
+
+
+@pytest.mark.parametrize("strategy", ["clip_zero", "frame_zero", "frame_repeat"])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_ablation_on_a_stacked_audio_view_matches_a_copy(strategy, p):
+    view = stack_context(np.random.default_rng(5).normal(size=(40, 3)))
+    before = view.copy()
+    spec = AblationSpec(strategy, "audio", p, seed=11)
+    for stream in range(4):
+        got = ablate_sequence(view, spec, stream)
+        want = ablate_sequence(np.ascontiguousarray(view), spec, stream)
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(view, before)
+    assert not view.flags.writeable

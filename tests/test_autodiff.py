@@ -36,6 +36,24 @@ def test_matmul_grad_vs_finite_differences():
     assert rel_err(a.grad, fd) < 1e-6
 
 
+def test_matmul_gives_no_gradient_to_a_data_operand():
+    x = ad.Tensor(rand((6, 4), 4))
+    w = ad.Tensor(rand((4, 3), 5), requires_grad=True)
+    g = rand((6, 3), 6)
+    dx, dw = ad.matmul(x, w)._backward_rule(g)
+    assert dx is None
+    np.testing.assert_array_equal(dw, x.data.T @ g)
+    wt = ad.Tensor(w.data.T, requires_grad=True)
+    dwt, dxt = ad.matmul(wt, ad.Tensor(x.data.T))._backward_rule(g.T)
+    assert dxt is None
+    np.testing.assert_array_equal(dwt, g.T @ x.data)
+    # through backward: the leaf receives exactly the rule's product
+    c = rand((6, 3), 7)
+    ad.backward(ad.tmean(ad.mul(ad.matmul(x, w), ad.Tensor(c))))
+    np.testing.assert_array_equal(w.grad, x.data.T @ (np.full((6, 3), 1.0 / 18) * c))
+    assert x.grad is None
+
+
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
@@ -230,6 +248,25 @@ def test_backward_twice_raises():
     ad.backward(loss)
     with pytest.raises(RuntimeError, match="twice"):
         ad.backward(loss)
+
+
+def test_backward_frees_the_graph_and_keeps_only_leaf_grads():
+    x = ad.Tensor(rand((3, 4), 33), requires_grad=True)
+    w = ad.Tensor(rand((4, 2), 34), requires_grad=True)
+    h = ad.relu(ad.matmul(x, w))
+    loss = ad.tmean(ad.mul(h, h))
+    ops = ad._build_tape(loss)
+    assert len(ops) == 4
+    ad.backward(loss)
+    for node in ops:
+        assert node.grad is None
+        assert node._parents == () and node._backward_rule is None
+    assert x.grad is not None and w.grad is not None
+    with pytest.raises(RuntimeError, match="twice"):
+        ad.backward(loss)
+    # a new graph built on a freed op output cannot reach the leaves any more
+    with pytest.raises(RuntimeError, match="freed"):
+        ad.backward(ad.tmean(h))
 
 
 def test_backward_non_scalar_raises():

@@ -111,6 +111,32 @@ def test_stack_context_padding_and_order():
     assert np.all(const == 3.0) and np.unique(const, axis=0).shape[0] == 1
 
 
+def _stacked_copy(seq):
+    """The contiguous construction the strided view replaced."""
+    w = 60
+    padded = np.concatenate([np.repeat(seq[:1], w - 1, axis=0), seq], axis=0)
+    view = np.lib.stride_tricks.sliding_window_view(padded, w, axis=0)
+    return np.ascontiguousarray(view.transpose(0, 2, 1)).reshape(seq.shape[0], w * seq.shape[1])
+
+
+def _owner(arr):
+    while not (isinstance(arr, np.ndarray) and arr.flags.owndata):
+        arr = arr.base
+    return arr
+
+
+@pytest.mark.parametrize("t,d", [(1, 1), (1, 4), (2, 3), (59, 2), (60, 1), (61, 5), (100, 16)])
+def test_stack_context_is_a_read_only_view_of_the_padded_frames(t, d):
+    seq = np.random.default_rng(t * 100 + d).normal(size=(t, d))
+    out = stack_context(seq)
+    assert out.shape == (t, 60 * d)
+    assert not out.flags.writeable and not out.flags.owndata
+    assert _owner(out).size == (t + 59) * d
+    np.testing.assert_array_equal(out, _stacked_copy(seq))
+    with pytest.raises(ValueError, match="read-only"):
+        out[0, 0] = 1.0
+
+
 # --- normalization ---
 
 
@@ -255,6 +281,17 @@ def test_dataset_non_finite_features_error_names_clip(tmp_path, stream, bad):
     path = tmp_path / "bad.avxd"
     save_dataset(Dataset([clip]), path)
     with pytest.raises(binio.FileFormatError, match=f"clip 4 has non-finite {stream}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("field,value", [("fps_a", 50), ("fps_v", 25)])
+def test_dataset_unsupported_rate_names_clip_and_field(tmp_path, field, value):
+    clips = [ClipRecord(id=i, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                        labels=np.zeros((3, 2))) for i in range(3)]
+    setattr(clips[2], field, value)
+    path = tmp_path / "rate.avxd"
+    save_dataset(Dataset(clips), path)
+    with pytest.raises(binio.FileFormatError, match=f"clip 2 has {field}={value}"):
         load_dataset(path)
 
 

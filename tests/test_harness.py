@@ -73,6 +73,10 @@ def test_run_config_errors_name_keys():
     with pytest.raises(ConfigError, match="sigma_video"):
         run_config_from_dict({"train": {"epochs": 1},
                               "data": {"n_clips": 1, "clip_seconds": 1.0, "sigma_video": -1.0}})
+    with pytest.raises(ConfigError, match="train section must be a JSON object"):
+        run_config_from_dict({"train": 5})
+    with pytest.raises(ConfigError, match="model section must be a JSON object"):
+        run_config_from_dict({"train": {"epochs": 1}, "model": [["d_model", 8]]})
 
 
 # --- data preparation ---
@@ -85,6 +89,11 @@ def test_prepare_data_split_sizes(tiny_dataset, tiny_prep):
     train_ids = {w.clip_id for w in tiny_prep.train_windows}
     val_ids = {w.clip_id for w in tiny_prep.val_windows}
     assert not train_ids & val_ids
+
+
+def test_prepared_windows_share_the_padded_audio(tiny_prep):
+    for w in tiny_prep.train_windows + tiny_prep.val_windows:
+        assert not w.audio.flags.owndata and not w.audio.flags.writeable
 
 
 def test_prepare_data_empty_split_is_error(tiny_dataset):
@@ -331,6 +340,52 @@ def test_cli_train_on_non_finite_features_exits_2(cli_artifacts, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-finite audio" in err
+
+
+def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
+    _, config_path, _, _ = cli_artifacts
+    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    for clip in dataset.clips:
+        clip.fps_a = 50
+    save_dataset(dataset, tmp_path / "50fps.avxd")
+    code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "50fps.avxd"),
+                 "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "clip 0 has fps_a=50, expected 100" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_report_short_merged_row_exits_2(tmp_path, capsys):
+    merged = tmp_path / "merged.csv"
+    merged.write_text("strategy,modality,probability,m_ccc_valence,m_ccc_arousal\n"
+                      "clip_zero,video,1.0,0.1\n")
+    assert main(["report", str(merged), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "malformed row" in err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("synth", "data", "sigma_audio", "abc"),
+    ("train", "model", "d_model", "abc"),
+    ("train", "train", "epochs", None),
+])
+def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
+                                                  command, section, key, value):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config[section][key] = value
+    path = tmp_path / "bad.json"
+    if command == "synth":
+        path.write_text(json.dumps(config["data"]))
+        argv = ["synth", "--config", str(path), "--out", str(tmp_path / "x.avxd")]
+    else:
+        path.write_text(json.dumps(config))
+        argv = ["train", "--config", str(path), "--data", str(data_path),
+                "--out", str(tmp_path / "m.ckpt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
 
 
 def test_cli_unknown_strategy_exits_2(cli_artifacts):

@@ -8,6 +8,7 @@ from avfusion import binio
 from avfusion.metrics import ccc_loss
 from avfusion.model import (
     ModelConfig,
+    clone_params,
     cross_modal_fuse,
     encoder_forward,
     init_params,
@@ -226,6 +227,19 @@ def test_fusion_scalars_receive_gradient():
 
 
 # --- checkpoints ---
+
+
+def test_clone_params_are_snapshots_without_grad_buffers():
+    params = init_params(SMALL, seed=2)
+    clones = clone_params(params)
+    assert list(clones) == list(params)
+    for name, c in clones.items():
+        assert not c.requires_grad and c.grad is None
+        np.testing.assert_array_equal(c.data, params[name].data)
+        assert not np.shares_memory(c.data, params[name].data)
+    pred = model_forward(*small_inputs(), clones, SMALL)
+    assert not pred.requires_grad and pred._backward_rule is None  # no graph recorded
+    np.testing.assert_array_equal(pred.data, model_forward(*small_inputs(), params, SMALL).data)
 
 
 def test_checkpoint_roundtrip(tmp_path):
