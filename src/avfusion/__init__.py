@@ -3,9 +3,11 @@ transformer and missing-modality training augmentations."""
 
 import os
 
-# the workload is many small matmuls; OpenBLAS spin-waiting worker threads
-# fight the main thread for cores and roughly double step times, so default
-# to single-threaded BLAS (set the env var yourself to override)
+# one BLAS thread per Python thread: model_forward already runs the audio and
+# video encoders on two threads, which is where a second core is used.
+# OPENBLAS_NUM_THREADS>1 on top of them oversubscribes a two-core box, and on
+# the many small matmuls of the workload OpenBLAS's spin-waiting workers fight
+# the branches for cores (set the env var yourself to override)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .augment import AblationSpec

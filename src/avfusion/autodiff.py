@@ -7,8 +7,10 @@ Adam step.
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
-were checked by their producers). Single-threaded within one graph; tensors
-are plain data and safe to hand between threads.
+were checked by their producers). One graph may be recorded from several
+threads at once, each building a disjoint subgraph over shared read-only
+leaves (the model's two encoder branches do this); `backward` runs on one
+thread. Tensors are plain data and safe to hand between threads.
 """
 
 from __future__ import annotations

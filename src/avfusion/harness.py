@@ -11,6 +11,8 @@ indices (epoch, window position), never by wall clock or iteration order.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -86,11 +88,14 @@ def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
 
 
 def _number(section: str, obj: dict, key: str, default, kind: type):
+    """obj[key] (or the default) as a finite `kind`; an int key also takes 3.0, not 2.7."""
     value = obj.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from exc
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def synthetic_config_from_dict(obj: dict) -> SyntheticConfig:
@@ -247,6 +252,8 @@ _EVAL_CHUNK = 32  # windows per batched inference call
 
 def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window]) -> EvalSummary:
     """Global CCC over every scored frame of the given windows."""
+    # zero-copy views without grad: inference records no graph whatever params it gets
+    params = {name: ad.Tensor(p.data) for name, p in params.items()}
     preds, golds = [], []
     t = config.seq_len
     for at in range(0, len(windows), _EVAL_CHUNK):

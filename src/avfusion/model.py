@@ -1,9 +1,10 @@
 """Two-branch transformer with cross-modal attention fusion and a two-output head.
 
 Audio and video feature sequences pass through independent self-attention
-encoder branches; a cross-modal layer attends each branch to the other and
-adds the results back through learnable scalar weights alpha/beta; a linear
-head maps the fused representation to per-frame (valence, arousal).
+encoder branches, which run concurrently on two threads; a cross-modal layer
+attends each branch to the other and adds the results back through learnable
+scalar weights alpha/beta; a linear head maps the fused representation to
+per-frame (valence, arousal).
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import io
 import json
 import numbers
+import os
+from concurrent import futures
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -167,12 +170,31 @@ def cross_modal_fuse(enc_a: ad.Tensor, enc_v: ad.Tensor, params: ParameterSet,
     return ad.add(aud, vid)
 
 
+def _new_video_worker() -> None:
+    # the executor starts its one thread on the first submit, not here; a
+    # forked child gets a fresh one, as it has no copy of the parent's thread
+    global _video_worker
+    _video_worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-video")
+
+
+_new_video_worker()
+os.register_at_fork(after_in_child=_new_video_worker)
+
+
 def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
                   config: ModelConfig, batch: int = 1) -> ad.Tensor:
     """Per-frame (valence, arousal) predictions, shape [batch*seq_len x 2].
 
     With batch > 1 the inputs stack that many seq_len-frame sequences row-wise
     and are processed independently (attention never crosses sequences).
+
+    The video encoder runs on a worker thread while the calling thread runs
+    the audio encoder; the branches share only read-only params, so the
+    result is bitwise that of running them one after the other. The call
+    returns or raises only once both branches have finished, and an error in
+    either branch propagates unchanged (the audio branch's, if both fail).
+    Both branches' ops are recorded in one graph, and `backward` on its loss
+    runs on the calling thread.
     """
     rows = batch * config.seq_len
     if audio.data.shape != (rows, config.d_audio):
@@ -181,9 +203,12 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     if video.data.shape != (rows, config.d_video):
         raise ad.ShapeError(f"model_forward: video {video.data.shape} vs expected "
                             f"{(rows, config.d_video)}")
-    enc_a = encoder_forward(audio, params, "audio", config, batch)
-    enc_v = encoder_forward(video, params, "video", config, batch)
-    fused = cross_modal_fuse(enc_a, enc_v, params, config.num_heads,
+    video_branch = _video_worker.submit(encoder_forward, video, params, "video", config, batch)
+    try:
+        enc_a = encoder_forward(audio, params, "audio", config, batch)
+    finally:
+        futures.wait((video_branch,))
+    fused = cross_modal_fuse(enc_a, video_branch.result(), params, config.num_heads,
                              block_len=config.seq_len)
     return ad.linear(fused, params["head.W"], params["head.b"])
 
@@ -215,6 +240,12 @@ def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
+    """Params and config of a checkpoint; a malformed file raises FileFormatError.
+
+    Params come back like `clone_params` snapshots, without grad buffers: a
+    loaded model is only evaluated, so a forward on it records no graph.
+    Non-finite weights are rejected by param name.
+    """
     with open(path, "rb") as f:
         binio.expect_magic(f, CHECKPOINT_MAGIC)
         binio.expect_version(f, CHECKPOINT_VERSION)
@@ -241,6 +272,8 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
                 raise binio.FileFormatError(
                     f"shape inconsistency: param {name!r} has shape {shape}, "
                     f"expected {expected.get(name)}")
-            params[name] = ad.Tensor(binio.read_f32_array(f, shape, f"param {name!r} data"),
-                                     requires_grad=True)
+            values = binio.read_f32_array(f, shape, f"param {name!r} data")
+            if not np.isfinite(values).all():
+                raise binio.FileFormatError(f"non-finite values in param {name!r}")
+            params[name] = ad.Tensor(values)
     return params, config

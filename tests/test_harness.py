@@ -20,7 +20,7 @@ from avfusion.harness import (
     train_on_prepared,
     write_sweep_csv,
 )
-from avfusion.model import load_checkpoint, save_checkpoint
+from avfusion.model import clone_params, init_params, load_checkpoint, save_checkpoint
 
 TINY_RUN = {
     "model": {"d_model": 8, "num_layers": 1, "num_heads": 2, "ffn_mult": 2},
@@ -79,6 +79,29 @@ def test_run_config_errors_name_keys():
         run_config_from_dict({"train": {"epochs": 1}, "model": [["d_model", 8]]})
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("train", "epochs", 2.7, "train.epochs must be an integer, got 2.7"),
+    ("train", "batch_size", 16.9, "train.batch_size must be an integer, got 16.9"),
+    ("train", "epochs", True, "train.epochs must be a finite number, got True"),
+    ("train", "seed", "3", "train.seed must be a finite number, got '3'"),
+    ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
+    ("splits", "val", float("inf"), "splits.val must be a finite number, got inf"),
+    ("ablation", "seed", 1.5, "ablation.seed must be an integer, got 1.5"),
+])
+def test_run_config_numbers_must_be_finite_and_integral_where_counted(section, key, value,
+                                                                      message):
+    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"}}
+    config.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_config_from_dict(config)
+
+
+def test_run_config_integral_floats_count_as_integers():
+    run = run_config_from_dict({"train": {"epochs": 3.0, "batch_size": 8.0}})
+    assert (run.train.epochs, run.train.batch_size) == (3, 8)
+    assert type(run.train.epochs) is int and type(run.train.batch_size) is int
+
+
 # --- data preparation ---
 
 
@@ -131,6 +154,26 @@ def test_checkpoint_roundtrip_preserves_ccc(tiny_result, tiny_prep, tmp_path):
     params2, _ = load_checkpoint(p2)
     s2 = harness.evaluate_windows(params2, config, tiny_prep.val_windows)
     assert s1.ccc_valence == s2.ccc_valence and s1.ccc_arousal == s2.ccc_arousal
+
+
+def test_evaluate_windows_records_no_graph_on_grad_params(tiny_prep, monkeypatch):
+    config = harness.model_config_for(run_config_from_dict(TINY_RUN), tiny_prep)
+    params = init_params(config, seed=5)
+    outputs = []
+    real_record = ad._record
+
+    def recording(*args, **kwargs):
+        outputs.append(real_record(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(ad, "_record", recording)
+    summary = harness.evaluate_windows(params, config, tiny_prep.val_windows)
+    monkeypatch.undo()
+    assert outputs and not any(out.requires_grad or out._parents for out in outputs)
+    assert all(p.requires_grad and not p.grad.any() for p in params.values())
+    snapshot = harness.evaluate_windows(clone_params(params), config, tiny_prep.val_windows)
+    assert (summary.ccc_valence, summary.ccc_arousal) == (snapshot.ccc_valence,
+                                                          snapshot.ccc_arousal)
 
 
 # --- sweeps ---
@@ -369,6 +412,8 @@ def test_cli_report_short_merged_row_exits_2(tmp_path, capsys):
     ("synth", "data", "sigma_audio", "abc"),
     ("train", "model", "d_model", "abc"),
     ("train", "train", "epochs", None),
+    ("train", "train", "epochs", 2.7),
+    ("train", "train", "batch_size", True),
 ])
 def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
                                                   command, section, key, value):
@@ -386,6 +431,20 @@ def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
+
+
+def test_cli_eval_sweep_on_non_finite_checkpoint_exits_2(cli_artifacts, tmp_path, capsys):
+    _, _, data_path, ckpt_path = cli_artifacts
+    params, config = load_checkpoint(ckpt_path)
+    params["head.b"].data[1] = np.nan
+    save_checkpoint(params, config, tmp_path / "nan.ckpt")
+    code = main(["eval-sweep", "--model", str(tmp_path / "nan.ckpt"), "--data", str(data_path),
+                 "--strategy", "clip_zero", "--modality", "video",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite values in param 'head.b'" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_unknown_strategy_exits_2(cli_artifacts):

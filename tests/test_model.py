@@ -1,10 +1,16 @@
+import os
+import signal
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
 from avfusion import binio
+from avfusion import model
 from avfusion.metrics import ccc_loss
 from avfusion.model import (
     ModelConfig,
@@ -226,6 +232,128 @@ def test_fusion_scalars_receive_gradient():
     assert abs(float(params["fusion.beta"].grad)) > 0.0
 
 
+# --- concurrent encoder branches ---
+
+DEEP = ModelConfig(d_audio=5, d_video=4, num_layers=2, d_model=8, num_heads=2,
+                   ffn_mult=2, seq_len=6)
+
+
+def test_model_forward_and_grads_equal_serial_branches_bitwise():
+    batch = 3
+    rng = np.random.default_rng(20)
+    audio = rng.uniform(-1, 1, (batch * DEEP.seq_len, DEEP.d_audio))
+    video = rng.uniform(-1, 1, (batch * DEEP.seq_len, DEEP.d_video))
+    gold = rng.uniform(-1, 1, (batch * DEEP.seq_len, 2))
+
+    def serial(params):
+        enc_a = encoder_forward(ad.Tensor(audio), params, "audio", DEEP, batch)
+        enc_v = encoder_forward(ad.Tensor(video), params, "video", DEEP, batch)
+        fused = cross_modal_fuse(enc_a, enc_v, params, DEEP.num_heads, block_len=DEEP.seq_len)
+        return ad.linear(fused, params["head.W"], params["head.b"])
+
+    runs = []
+    for forward in (lambda ps: model_forward(ad.Tensor(audio), ad.Tensor(video), ps, DEEP,
+                                             batch=batch), serial):
+        params = init_params(DEEP, seed=20)
+        pred = forward(params)
+        ad.backward(ccc_loss(pred, gold))
+        runs.append((pred.data, {name: p.grad for name, p in params.items()}))
+    (pred, grads), (want_pred, want_grads) = runs
+    np.testing.assert_array_equal(pred, want_pred)
+    assert list(grads) == list(want_grads)
+    for name, g in grads.items():
+        assert g.any(), name  # every leaf is reached through its branch
+        np.testing.assert_array_equal(g, want_grads[name], err_msg=name)
+
+
+def _branch_recorder(monkeypatch, delay_video: float = 0.0):
+    """Wrap model.encoder_forward; returns [(branch, thread id, finish time, error)]."""
+    real = model.encoder_forward
+    calls = []
+
+    def recording(x, params, branch, *args):
+        if branch == "video":
+            time.sleep(delay_video)
+        try:
+            out = real(x, params, branch, *args)
+        except Exception as exc:
+            calls.append((branch, threading.get_ident(), time.perf_counter(), exc))
+            raise
+        calls.append((branch, threading.get_ident(), time.perf_counter(), None))
+        return out
+
+    monkeypatch.setattr(model, "encoder_forward", recording)
+    return calls
+
+
+def test_one_forward_runs_each_branch_once_video_off_the_calling_thread(monkeypatch):
+    calls = _branch_recorder(monkeypatch)
+    model_forward(*small_inputs(21), init_params(SMALL, seed=21), SMALL)
+    threads = {branch: thread for branch, thread, _, _ in calls}
+    assert sorted(branch for branch, *_ in calls) == ["audio", "video"]
+    assert threads["audio"] == threading.get_ident()
+    assert threads["video"] != threading.get_ident()
+
+
+@pytest.mark.parametrize("bad_branch", ["video", "audio"])
+def test_branch_error_propagates_once_both_branches_finished(monkeypatch, bad_branch):
+    params = init_params(SMALL, seed=22)
+    params[f"{bad_branch}.in_proj.W"].data[0, 0] = np.nan
+    calls = _branch_recorder(monkeypatch, delay_video=0.2)
+    with pytest.raises(FloatingPointError, match="^matmul produced non-finite values$") as exc:
+        model_forward(*small_inputs(22), params, SMALL)
+    returned = time.perf_counter()
+    errors = {branch: error for branch, _, _, error in calls}
+    assert exc.value is errors[bad_branch]  # the branch's own exception, unwrapped
+    assert sorted(errors) == ["audio", "video"]
+    assert all(finished <= returned for _, _, finished, _ in calls)
+
+
+def test_concurrent_callers_each_get_the_result_of_a_lone_call():
+    params = init_params(DEEP, seed=24)
+    inputs = [small_inputs(seed, DEEP) for seed in range(6)]
+    want = [model_forward(audio, video, params, DEEP).data for audio, video in inputs]
+    got = [[] for _ in inputs]
+
+    def caller(i):
+        for _ in range(5):
+            got[i].append(model_forward(*inputs[i], params, DEEP).data)
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for outputs, expected in zip(got, want):
+        assert len(outputs) == 5
+        for out in outputs:
+            np.testing.assert_array_equal(out, expected)
+
+
+def test_forward_in_a_forked_child_of_a_process_that_used_the_worker():
+    params = init_params(SMALL, seed=25)
+    want = model_forward(*small_inputs(25), params, SMALL).data  # starts the worker thread
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the alarm ends a child whose forward would wait forever
+            signal.alarm(20)
+            got = model_forward(*small_inputs(25), params, SMALL).data
+            os.write(write_end, b"same" if np.array_equal(got, want) else b"differs")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(read_end, "rb") as f:
+        assert (f.read(), os.waitstatus_to_exitcode(status)) == (b"same", 0)
+
+
 # --- checkpoints ---
 
 
@@ -250,6 +378,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert config == SMALL
     assert list(loaded) == list(params)
     for name in params:
+        assert not loaded[name].requires_grad and loaded[name].grad is None
         assert loaded[name].data.shape == params[name].data.shape
         np.testing.assert_array_equal(loaded[name].data,
                                       params[name].data.astype(np.float32).astype(np.float64))
@@ -318,4 +447,14 @@ def test_checkpoint_duplicate_param_name(tmp_path):
     raw[at:at + 22] = b"audio.layers.0.attn.Wq"
     path.write_bytes(bytes(raw))
     with pytest.raises(binio.FileFormatError, match="duplicate param 'audio.layers.0.attn.Wq'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_weight_names_param(tmp_path, value):
+    path = tmp_path / "m.ckpt"
+    params = init_params(SMALL, seed=23)
+    params["head.b"].data[1] = value
+    save_checkpoint(params, SMALL, path)
+    with pytest.raises(binio.FileFormatError, match="non-finite values in param 'head.b'"):
         load_checkpoint(path)
