@@ -1,9 +1,10 @@
 """Minimal dense-tensor reverse-mode autodiff on float64 numpy arrays.
 
-Covers exactly the operations the fusion model and its CCC loss need:
-matmul, layer norm, linear, elementwise arithmetic, relu, mean reduction,
-column slicing, a blocked multi-head attention kernel, plus a bias-corrected
-Adam step.
+Covers exactly the operations the fusion model needs: matmul, layer norm,
+linear, equal-shape add, multiply (with scalar broadcast for the fusion
+weights), relu, mean reduction and a blocked multi-head attention kernel,
+plus a bias-corrected Adam step. Other modules record their own fused ops
+through `_record` (the CCC training loss in `metrics` is one op).
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
@@ -200,12 +201,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return add_bias(matmul(x, w), b)
 
 
-def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    # same shape, or one operand a scalar
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise _shape_err(op, a.data.shape, b.data.shape)
-
-
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # scalar operand in a broadcast op collects the summed gradient
     if shape == ():
@@ -214,41 +209,19 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("add", a, b)
-    return _record("add", a.data + b.data, (a, b),
-                   lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("sub", a, b)
-    return _record("sub", a.data - b.data, (a, b),
-                   lambda g: (_reduce_to(g, a.data.shape), _reduce_to(-g, b.data.shape)))
+    """Elementwise sum of two tensors of equal shape."""
+    if a.data.shape != b.data.shape:
+        raise _shape_err("add", a.data.shape, b.data.shape)
+    return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product; either operand may be a scalar tensor."""
-    _binary_shapes("mul", a, b)
+    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+        raise _shape_err("mul", a.data.shape, b.data.shape)
     return _record("mul", a.data * b.data, (a, b),
                    lambda g: (_reduce_to(g * b.data, a.data.shape),
                               _reduce_to(g * a.data, b.data.shape)))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _binary_shapes("div", a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite is raised below
-        out = a.data / b.data
-
-    def bw(g: np.ndarray):
-        return (_reduce_to(g / b.data, a.data.shape),
-                _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _record("div", out, (a, b), bw)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    c = float(c)
-    return _record("scale", x.data * c, (x,), lambda g: (g * c,))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -262,18 +235,6 @@ def tmean(x: Tensor) -> Tensor:
     n = x.data.size
     return _record("mean", np.asarray(np.mean(x.data)), (x,),
                    lambda g: (np.full(shape, float(g) / n),))
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.data.shape[1]):
-        raise _shape_err(f"slice_cols[{start}:{stop}]", x.data.shape)
-
-    def bw(g: np.ndarray):
-        dx = np.zeros(x.data.shape)
-        dx[:, start:stop] = g
-        return (dx,)
-
-    return _record("slice_cols", x.data[:, start:stop].copy(), (x,), bw, check=False)
 
 
 # ---------------------------------------------------------------------------

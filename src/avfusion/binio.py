@@ -34,6 +34,13 @@ def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return f.read(n)
 
 
+def expect_end(f: BinaryIO, what: str) -> None:
+    # a corrupted count field must not load as a shorter file
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left:
+        raise FileFormatError(f"trailing bytes: {left} bytes after the last {what}")
+
+
 def expect_magic(f: BinaryIO, magic: bytes) -> None:
     got = f.read(len(magic))
     if got != magic:
@@ -77,4 +84,5 @@ def write_f32_array(f: BinaryIO, arr: np.ndarray) -> None:
 def read_f32_array(f: BinaryIO, shape: tuple[int, ...], what: str) -> np.ndarray:
     count = math.prod(shape)  # Python ints: u32 dims never overflow
     buf = read_exact(f, 4 * count, what)
-    return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)
+    with np.errstate(invalid="ignore"):  # a signalling NaN; callers reject non-finite values
+        return np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape)

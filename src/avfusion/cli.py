@@ -13,7 +13,7 @@ from pathlib import Path
 from . import harness
 from .augment import MODALITIES, STRATEGIES
 from .binio import FileFormatError
-from .data import generate_synthetic, load_dataset, save_dataset
+from .data import FPS_AUDIO, FPS_VIDEO, generate_synthetic, load_dataset, save_dataset
 from .harness import (
     ConfigError,
     DimensionMismatchError,
@@ -85,8 +85,8 @@ def cmd_synth(args) -> int:
     save_dataset(dataset, args.out)
     clip = dataset.clips[0]
     print(f"wrote {len(dataset)} clips to {args.out} "
-          f"(video {clip.video.shape[0]}x{clip.video.shape[1]} @{clip.fps_v}fps, "
-          f"audio {clip.audio.shape[0]}x{clip.audio.shape[1]} @{clip.fps_a}fps)")
+          f"(video {clip.video.shape[0]}x{clip.video.shape[1]} @{FPS_VIDEO}fps, "
+          f"audio {clip.audio.shape[0]}x{clip.audio.shape[1]} @{FPS_AUDIO}fps)")
     return EXIT_OK
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,11 +35,9 @@ _DATASET_STREAM = 1 << 32
 @dataclass
 class ClipRecord:
     id: int
-    audio: np.ndarray   # [T_a x D_a] at fps_a
-    video: np.ndarray   # [T_v x D_v] at fps_v
+    audio: np.ndarray   # [T_a x D_a] at FPS_AUDIO
+    video: np.ndarray   # [T_v x D_v] at FPS_VIDEO
     labels: np.ndarray  # [T_v x 2], valence/arousal in [-1, 1]
-    fps_a: int = FPS_AUDIO
-    fps_v: int = FPS_VIDEO
 
 
 @dataclass
@@ -65,16 +62,6 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # values come from JSON: name a string, null or boolean field here
-        # instead of failing in a comparison below
-        for name in ("n_clips", "d_audio_lld", "d_video", "seed",
-                     "clip_seconds", "sigma_audio", "sigma_video", "rho"):
-            value = getattr(self, name)
-            integral = name in ("n_clips", "d_audio_lld", "d_video", "seed")
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
-                                 f"got {value!r}")
         if self.n_clips < 1:
             raise ValueError("n_clips must be >= 1")
         if not 0 < self.clip_seconds < math.inf:
@@ -267,7 +254,8 @@ def window_clips(clips: list[SyncedClip], seq_len: int = 100,
 # ---------------------------------------------------------------------------
 # dataset file format: magic "AVXD", u32 version, u32 n_clips; per clip:
 # u32 id, u32 fps_v, u32 T_v, u32 D_v, u32 fps_a, u32 T_a, u32 D_a,
-# f32 video[T_v x D_v], f32 audio[T_a x D_a], f32 labels[T_v x 2]. Row-major,
+# f32 video[T_v x D_v], f32 audio[T_a x D_a], f32 labels[T_v x 2]; nothing
+# after the last clip. fps_v/fps_a must be FPS_VIDEO/FPS_AUDIO. Row-major,
 # little-endian.
 
 
@@ -277,8 +265,8 @@ def save_dataset(dataset: Dataset, path) -> None:
     binio.write_u32(buf, DATASET_VERSION)
     binio.write_u32(buf, len(dataset.clips))
     for clip in dataset.clips:
-        for value in (clip.id, clip.fps_v, clip.video.shape[0], clip.video.shape[1],
-                      clip.fps_a, clip.audio.shape[0], clip.audio.shape[1]):
+        for value in (clip.id, FPS_VIDEO, clip.video.shape[0], clip.video.shape[1],
+                      FPS_AUDIO, clip.audio.shape[0], clip.audio.shape[1]):
             binio.write_u32(buf, value)
         binio.write_f32_array(buf, clip.video)
         binio.write_f32_array(buf, clip.audio)
@@ -316,6 +304,6 @@ def load_dataset(path) -> Dataset:
                 if not np.isfinite(feats).all():
                     raise binio.FileFormatError(
                         f"invariant violation: clip {clip_id} has non-finite {name} features")
-            clips.append(ClipRecord(id=clip_id, audio=audio, video=video,
-                                    labels=labels, fps_a=fps_a, fps_v=fps_v))
+            clips.append(ClipRecord(id=clip_id, audio=audio, video=video, labels=labels))
+        binio.expect_end(f, "clip")
     return Dataset(clips)

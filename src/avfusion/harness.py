@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,15 +99,15 @@ def _number(section: str, obj: dict, key: str, default, kind: type):
 
 
 def synthetic_config_from_dict(obj: dict) -> SyntheticConfig:
-    allowed = {"n_clips", "clip_seconds", "d_audio_lld", "d_video",
-               "sigma_audio", "sigma_video", "rho", "seed"}
-    _check_keys("data", obj, allowed)
+    kinds = {f.name: int if f.type == "int" else float for f in fields(SyntheticConfig)}
+    _check_keys("data", obj, set(kinds))
     for required in ("n_clips", "clip_seconds"):
         if required not in obj:
             raise ConfigError(f"data.{required} is required")
     try:
-        return SyntheticConfig(**obj)
-    except (TypeError, ValueError) as exc:
+        return SyntheticConfig(**{key: _number("data", obj, key, None, kinds[key])
+                                  for key in obj})
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -145,6 +145,7 @@ def run_config_from_dict(obj: dict) -> RunConfig:
     model_obj = obj.get("model", {})
     _check_keys("model", model_obj,
                 {"num_layers", "d_model", "num_heads", "ffn_mult", "d_audio", "d_video", "seq_len"})
+    model_obj = {key: _number("model", model_obj, key, None, int) for key in model_obj}
 
     splits_obj = obj.get("splits", {})
     _check_keys("splits", splits_obj, {"train", "val"})
@@ -223,7 +224,7 @@ def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
         spec[dim] = have
     try:
         return ModelConfig(**spec)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -448,7 +449,14 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     Accepts both the single-model sweep format and the merged multi-model
     format, so merged output can be re-merged unchanged.
     """
-    lines = [ln for ln in Path(path).read_text("utf-8").splitlines() if ln]
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise ReportError(f"{path}: line {line} is not UTF-8 "
+                          f"(byte {raw[exc.start]:#04x})") from exc
+    lines = [ln for ln in text.splitlines() if ln]
     if not lines:
         raise ReportError(f"{path}: empty CSV")
     header = lines[0].split(",")

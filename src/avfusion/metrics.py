@@ -1,4 +1,9 @@
-"""Concordance correlation coefficient as evaluation metric and training loss."""
+"""Concordance correlation coefficient as evaluation metric and training loss.
+
+Both read one moment helper (biased, centered moments): `ccc` scores every
+evaluation, and `ccc_loss` records the training loss as a single autodiff op
+with the closed-form CCC gradient as its backward rule.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +24,15 @@ class EvalSummary:
         return 0.5 * (self.ccc_valence + self.ccc_arousal)
 
 
+def _moments(x: np.ndarray, y: np.ndarray):
+    """(mean of y, covariance, CCC denominator var_x + var_y + (m_x - m_y)^2)
+    of two equal-length contiguous float64 vectors, biased moments."""
+    mx, my = np.mean(x), np.mean(y)
+    dx, dy = x - mx, y - my
+    sxy = np.mean(dx * dy)
+    return my, sxy, np.mean(dx ** 2) + np.mean(dy ** 2) + (mx - my) ** 2
+
+
 def ccc(x, y) -> float:
     """Lin's concordance between two equal-length sequences, biased moments.
 
@@ -31,39 +45,41 @@ def ccc(x, y) -> float:
         raise ValueError(f"ccc: length mismatch {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError(f"ccc: need at least 2 samples, got {x.size}")
-    mx, my = np.mean(x), np.mean(y)
-    vx = np.mean((x - mx) ** 2)
-    vy = np.mean((y - my) ** 2)
-    sxy = np.mean((x - mx) * (y - my))
-    denom = vx + vy + (mx - my) ** 2
+    _, sxy, denom = _moments(x, y)
     if denom == 0.0:
         return 0.0
     return float(2.0 * sxy / denom)
 
 
-def _ccc_column(pred: ad.Tensor, gold: ad.Tensor, col: int) -> ad.Tensor:
-    x = ad.slice_cols(pred, col, col + 1)
-    y = ad.slice_cols(gold, col, col + 1)
-    mx, my = ad.tmean(x), ad.tmean(y)
-    sxy = ad.sub(ad.tmean(ad.mul(x, y)), ad.mul(mx, my))
-    sxx = ad.sub(ad.tmean(ad.mul(x, x)), ad.mul(mx, mx))
-    syy = ad.sub(ad.tmean(ad.mul(y, y)), ad.mul(my, my))
-    gap = ad.sub(mx, my)
-    denom = ad.add(ad.add(sxx, syy), ad.mul(gap, gap))
-    return ad.div(ad.scale(sxy, 2.0), denom)
+def ccc_loss(pred: ad.Tensor, gold: np.ndarray) -> ad.Tensor:
+    """1 - (CCC_valence + CCC_arousal)/2 over all frames, as one recorded op.
 
-
-def ccc_loss(pred: ad.Tensor, gold: ad.Tensor) -> ad.Tensor:
-    """1 - (CCC_valence + CCC_arousal)/2 over all frames, as a recorded graph."""
-    if not isinstance(gold, ad.Tensor):
-        gold = ad.Tensor(gold)
-    if pred.data.ndim != 2 or pred.data.shape[1] != 2 or pred.data.shape != gold.data.shape:
+    The value is bitwise `1 - eval_summary(pred, gold).mean_ccc()`; the rule is
+    d ccc/d x_i = 2((y_i - m_y) - ccc (x_i - m_y)) / (n denom) per column. A
+    zero denominator (constant, equal pred and gold) raises FloatingPointError.
+    """
+    gold = np.asarray(gold, dtype=np.float64)
+    if pred.data.ndim != 2 or pred.data.shape[1] != 2 or pred.data.shape != gold.shape:
         raise ad.ShapeError(f"ccc_loss: expected matching [N x 2] tensors, got "
-                            f"{pred.data.shape} vs {gold.data.shape}")
-    if pred.data.shape[0] < 2:
+                            f"{pred.data.shape} vs {gold.shape}")
+    n = pred.data.shape[0]
+    if n < 2:
         raise ValueError("ccc_loss: need at least 2 frames")
-    both = ad.add(_ccc_column(pred, gold, 0), _ccc_column(pred, gold, 1))
-    return ad.sub(ad.Tensor(1.0), ad.scale(both, 0.5))
+    columns = []  # (x, y, m_y, ccc, denom) of valence, then arousal
+    # contiguous columns, as `ccc` ravels them, so the sums match bitwise
+    for x, y in zip(pred.data.T.copy(), gold.T.copy()):
+        my, sxy, denom = _moments(x, y)
+        if denom == 0.0:
+            raise FloatingPointError("ccc_loss: zero CCC denominator (constant, equal "
+                                     "prediction and gold)")
+        columns.append((x, y, my, 2.0 * sxy / denom, denom))
+
+    def bw(g: np.ndarray):
+        return (np.column_stack([((y - my) - r * (x - my)) * (-float(g) / (n * denom))
+                                 for x, y, my, r, denom in columns]),)
+
+    return ad._record("ccc_loss", np.asarray(1.0 - 0.5 * (columns[0][3] + columns[1][3])),
+                      (pred,), bw)
 
 
 def eval_summary(predictions, labels) -> EvalSummary:

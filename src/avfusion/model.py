@@ -216,7 +216,8 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
 # ---------------------------------------------------------------------------
 # checkpoint format: magic "AVCK", u32 version, u32 config-JSON length,
 # config JSON, u32 param count, then per param: u16 name length, name,
-# u8 rank, u32 dims[rank], f32 data row-major. Little-endian throughout.
+# u8 rank, u32 dims[rank], f32 data row-major; nothing after the last param.
+# Little-endian throughout.
 
 
 def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
@@ -263,7 +264,12 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
         params: ParameterSet = {}
         for _ in range(n):
             name_len = binio.read_u16(f, "param name length")
-            name = binio.read_exact(f, name_len, "param name").decode("utf-8")
+            raw_name = binio.read_exact(f, name_len, "param name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise binio.FileFormatError(
+                    f"{path}: param name {raw_name!r} is not UTF-8") from exc
             rank = binio.read_u8(f, "param rank")
             shape = tuple(binio.read_u32(f, "param dim") for _ in range(rank))
             if name in params:
@@ -276,4 +282,5 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             if not np.isfinite(values).all():
                 raise binio.FileFormatError(f"non-finite values in param {name!r}")
             params[name] = ad.Tensor(values)
+        binio.expect_end(f, "param")
     return params, config

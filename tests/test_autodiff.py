@@ -179,6 +179,12 @@ def test_add_zero_is_identity():
     np.testing.assert_array_equal(out.data, x)
 
 
+def test_add_takes_equal_shapes_only():
+    for b in (ad.Tensor(1.0), ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros((3, 2)))):
+        with pytest.raises(ad.ShapeError, match="add"):
+            ad.add(ad.Tensor(np.zeros((2, 3))), b)
+
+
 def test_relu_forced_values():
     out = ad.relu(ad.Tensor([-1.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 2.0])
@@ -189,18 +195,16 @@ def test_relu_forced_values():
        arrays(np.float64, (3, 4), elements=st.floats(-1, 1)))
 def test_elementwise_ops_are_pure(xa, xb):
     a, b = ad.Tensor(xa.copy()), ad.Tensor(xb.copy())
-    for op in (ad.add, ad.sub, ad.mul):
+    for op in (ad.add, ad.mul):
         op(a, b)
-    ad.relu(a), ad.scale(a, 2.5)
+    ad.relu(a), ad.mul(a, ad.Tensor(2.5))
     np.testing.assert_array_equal(a.data, xa)
     np.testing.assert_array_equal(b.data, xb)
 
 
 @pytest.mark.parametrize("op,ref", [
     (ad.add, lambda a, b: a + b),
-    (ad.sub, lambda a, b: a - b),
     (ad.mul, lambda a, b: a * b),
-    (ad.div, lambda a, b: a / b),
 ])
 def test_binary_op_grads_vs_finite_differences(op, ref):
     a = ad.Tensor(rand((3, 4), 20), requires_grad=True)
@@ -219,26 +223,18 @@ def test_scalar_broadcast_grad():
     np.testing.assert_allclose(a.grad, np.full((3, 4), 0.7 / 12), atol=1e-12)
 
 
-def test_slice_cols_grad_vs_finite_differences():
-    x = ad.Tensor(rand((4, 6), 23), requires_grad=True)
-    w = rand((4, 2), 24)
-    ad.backward(ad.tmean(ad.mul(ad.slice_cols(x, 2, 4), ad.Tensor(w))))
-    assert rel_err(x.grad, finite_diff_grad(lambda: np.mean(x.data[:, 2:4] * w), x.data)) < 1e-6
-    np.testing.assert_array_equal(x.grad[:, [0, 1, 4, 5]], np.zeros((4, 4)))
-
-
 # --- backward mechanics ---
 
 
 def test_backward_sum_gives_ones():
     x = ad.Tensor(rand((3, 4), 28), requires_grad=True)
-    ad.backward(ad.scale(ad.tmean(x), x.data.size))  # the sum, as n * mean
+    ad.backward(ad.mul(ad.tmean(x), ad.Tensor(x.data.size)))  # the sum, as n * mean
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_sum_of_square_gives_2x():
     x = ad.Tensor(rand((3, 4), 29), requires_grad=True)
-    ad.backward(ad.scale(ad.tmean(ad.mul(x, x)), x.data.size))
+    ad.backward(ad.mul(ad.tmean(ad.mul(x, x)), ad.Tensor(x.data.size)))
     np.testing.assert_allclose(x.grad, 2.0 * x.data, atol=1e-12)
 
 
@@ -296,11 +292,6 @@ def test_tape_is_topological_and_each_op_visited_once():
         seen.add(id(node))
     assert ad.backward(loss) is None
     np.testing.assert_allclose(x.grad, 4.0 * x.data / 4, atol=1e-12)
-
-
-def test_division_by_zero_is_not_silent():
-    with pytest.raises(FloatingPointError):
-        ad.div(ad.Tensor([1.0]), ad.Tensor([0.0]))
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():

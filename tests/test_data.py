@@ -243,7 +243,7 @@ def test_dataset_roundtrip(tmp_path):
     loaded = load_dataset(path)
     assert len(loaded) == len(ds)
     for a, b in zip(ds.clips, loaded.clips):
-        assert a.id == b.id and a.fps_a == b.fps_a and a.fps_v == b.fps_v
+        assert a.id == b.id
         np.testing.assert_array_equal(b.audio, a.audio.astype(np.float32).astype(np.float64))
         np.testing.assert_array_equal(b.video, a.video.astype(np.float32).astype(np.float64))
         np.testing.assert_array_equal(b.labels, a.labels.astype(np.float32).astype(np.float64))
@@ -288,9 +288,13 @@ def test_dataset_non_finite_features_error_names_clip(tmp_path, stream, bad):
 def test_dataset_unsupported_rate_names_clip_and_field(tmp_path, field, value):
     clips = [ClipRecord(id=i, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
                         labels=np.zeros((3, 2))) for i in range(3)]
-    setattr(clips[2], field, value)
     path = tmp_path / "rate.avxd"
     save_dataset(Dataset(clips), path)
+    raw = bytearray(path.read_bytes())
+    # clip 2's header starts after magic, version, count and two equal-size clips
+    at = 12 + 2 * (len(raw) - 12) // 3 + {"fps_v": 4, "fps_a": 16}[field]
+    raw[at:at + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(raw))
     with pytest.raises(binio.FileFormatError, match=f"clip 2 has {field}={value}"):
         load_dataset(path)
 
@@ -349,4 +353,17 @@ def test_dataset_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 100])
     with pytest.raises(binio.TruncatedFileError):
+        load_dataset(path)
+
+
+def test_dataset_bytes_after_the_last_clip(tmp_path):
+    path = tmp_path / "d.avxd"
+    save_dataset(generate_synthetic(TINY), path)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = struct.pack("<I", 2)  # a damaged count: 4 clips written, 2 claimed
+    path.write_bytes(bytes(raw))
+    with pytest.raises(binio.FileFormatError, match=r"trailing bytes: \d+ bytes after the last"):
+        load_dataset(path)
+    path.write_bytes(bytes(raw[:8]) + struct.pack("<I", 4) + bytes(raw[12:]) + b"\0")
+    with pytest.raises(binio.FileFormatError, match="trailing bytes: 1 bytes after the last clip"):
         load_dataset(path)

@@ -1,0 +1,75 @@
+"""Damaged input files end in a valid load or in the format's own error.
+
+Hypothesis truncates a tiny dataset, a tiny checkpoint and a merged sweep CSV
+at any length, or flips any one of their bytes (XOR with 1..255). Each case
+must load or raise FileFormatError (binary files) or ReportError (CSV): the
+CLI maps both to exit 2 with one line, and any other exception would end in
+a traceback.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avfusion import harness
+from avfusion.binio import FileFormatError
+from avfusion.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
+from avfusion.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+
+TINY_MODEL = ModelConfig(d_audio=2, d_video=2, num_layers=1, d_model=2, num_heads=1,
+                         ffn_mult=1, seq_len=2)
+
+
+def _write_dataset(path):
+    save_dataset(generate_synthetic(SyntheticConfig(n_clips=2, clip_seconds=0.2, d_audio_lld=2,
+                                                    d_video=2, seed=3)), path)
+
+
+def _write_checkpoint(path):
+    save_checkpoint(init_params(TINY_MODEL, seed=3), TINY_MODEL, path)
+
+
+def _write_merged_csv(path):
+    keys = [("clip_zero", "video", p) for p in (1.0, 0.5, 0.0)]
+    tables = {label: {k: (0.1 * i, -0.2 * i) for i, k in enumerate(keys)}
+              for label in ("trained_none", "trained_clip_zero")}
+    harness.write_merged_csv(*harness.merge_tables(tables), path)
+
+
+# name: (writer, loader, the error a damaged file may raise)
+FORMATS = {
+    "dataset": (_write_dataset, load_dataset, FileFormatError),
+    "checkpoint": (_write_checkpoint, load_checkpoint, FileFormatError),
+    "merged_csv": (_write_merged_csv, harness.read_sweep_results, harness.ReportError),
+}
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    out = {}
+    for name, (write, load, _) in FORMATS.items():
+        path = root / f"{name}.bin"
+        write(path)
+        load(path)  # the undamaged file loads
+        out[name] = (path.read_bytes(), root / f"damaged_{name}")
+    return out
+
+
+@pytest.mark.parametrize("name", list(FORMATS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_file_loads_or_raises_its_format_error(originals, name, data):
+    raw, path = originals[name]
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:at]
+    else:
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+    path.write_bytes(damaged)
+    _, load, error = FORMATS[name]
+    try:
+        load(path)
+    except error:
+        pass

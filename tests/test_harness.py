@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -87,19 +89,31 @@ def test_run_config_errors_name_keys():
     ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
     ("splits", "val", float("inf"), "splits.val must be a finite number, got inf"),
     ("ablation", "seed", 1.5, "ablation.seed must be an integer, got 1.5"),
+    ("data", "n_clips", 3.5, "data.n_clips must be an integer, got 3.5"),
+    ("data", "sigma_audio", "abc", "data.sigma_audio must be a finite number, got 'abc'"),
+    ("data", "rho", None, "data.rho must be a finite number, got None"),
+    ("model", "d_model", 32.5, "model.d_model must be an integer, got 32.5"),
+    ("model", "num_heads", True, "model.num_heads must be a finite number, got True"),
 ])
 def test_run_config_numbers_must_be_finite_and_integral_where_counted(section, key, value,
                                                                       message):
-    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"}}
+    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"},
+              "data": {"n_clips": 2, "clip_seconds": 1.0}}
     config.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"^{message}$"):
         run_config_from_dict(config)
 
 
 def test_run_config_integral_floats_count_as_integers():
-    run = run_config_from_dict({"train": {"epochs": 3.0, "batch_size": 8.0}})
+    run = run_config_from_dict({"train": {"epochs": 3.0, "batch_size": 8.0},
+                                "model": {"d_model": 32.0, "num_layers": 2},
+                                "data": {"n_clips": 3.0, "clip_seconds": 2, "d_video": 4.0}})
     assert (run.train.epochs, run.train.batch_size) == (3, 8)
     assert type(run.train.epochs) is int and type(run.train.batch_size) is int
+    assert run.model == {"d_model": 32, "num_layers": 2}
+    assert all(type(v) is int for v in run.model.values())
+    assert (run.data.n_clips, run.data.d_video, run.data.clip_seconds) == (3, 4, 2.0)
+    assert type(run.data.n_clips) is int and type(run.data.clip_seconds) is float
 
 
 # --- data preparation ---
@@ -143,6 +157,32 @@ def test_training_with_ablation_runs(tiny_prep):
     result = train_on_prepared(run_config_from_dict(cfg), tiny_prep)
     assert len(result.log) == 2
     assert np.isfinite([r.train_loss for r in result.log]).all()
+
+
+class _FirstBackward(Exception):
+    pass
+
+
+def test_one_training_step_records_80_ops(tiny_prep, monkeypatch):
+    # the study's model: 79 ops of forward graph, and the CCC loss is one more
+    run = run_config_from_dict({"model": {"d_model": 32, "num_layers": 2, "num_heads": 4},
+                                "train": {"epochs": 1, "batch_size": 4, "seq_len": 100}})
+    ops = []
+    real_record = ad._record
+
+    def recording(op, *args, **kwargs):
+        ops.append(op)
+        return real_record(op, *args, **kwargs)
+
+    def stop(loss):
+        raise _FirstBackward
+
+    monkeypatch.setattr(ad, "_record", recording)
+    monkeypatch.setattr(ad, "backward", stop)
+    with pytest.raises(_FirstBackward):
+        train_on_prepared(run, tiny_prep)
+    assert len(ops) == 80 and ops[-1] == "ccc_loss"
+    assert {"sub", "div", "scale", "slice_cols", "mean"}.isdisjoint(ops)
 
 
 def test_checkpoint_roundtrip_preserves_ccc(tiny_result, tiny_prep, tmp_path):
@@ -261,6 +301,15 @@ def test_report_disjoint_grids_error(tmp_path):
     _write_csv(b, ["clip_zero,video,0.5,0,0.3,0.4"])
     with pytest.raises(ReportError, match="missing"):
         merge_reports([a, b])
+
+
+def test_report_non_utf8_csv_names_file_and_line(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2"])
+    path.write_bytes(path.read_bytes().replace(b"video", b"vid\xffo"))
+    want = rf"^{re.escape(str(path))}: line 2 is not UTF-8 \(byte 0xff\)$"
+    with pytest.raises(ReportError, match=want):
+        merge_reports([path])
 
 
 def test_report_remerge_is_idempotent(tmp_path):
@@ -387,16 +436,39 @@ def test_cli_train_on_non_finite_features_exits_2(cli_artifacts, tmp_path, capsy
 
 def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
     _, config_path, _, _ = cli_artifacts
-    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
-    for clip in dataset.clips:
-        clip.fps_a = 50
-    save_dataset(dataset, tmp_path / "50fps.avxd")
-    code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "50fps.avxd"),
+    path = tmp_path / "50fps.avxd"
+    save_dataset(generate_synthetic(SyntheticConfig(**TINY_RUN["data"])), path)
+    raw = bytearray(path.read_bytes())
+    # clip 0's fps_a follows magic, version, count, id, fps_v, T_v and D_v
+    raw[28:32] = struct.pack("<I", 50)
+    path.write_bytes(bytes(raw))
+    code = main(["train", "--config", str(config_path), "--data", str(path),
                  "--out", str(tmp_path / "m.ckpt")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "clip 0 has fps_a=50, expected 100" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-sweep"])
+def test_cli_input_with_bytes_after_its_last_record_exits_2(cli_artifacts, tmp_path, capsys,
+                                                            command):
+    _, config_path, data_path, ckpt_path = cli_artifacts
+    damaged = tmp_path / "damaged"
+    if command == "train":
+        raw = bytearray(data_path.read_bytes())
+        raw[8] ^= 0b10  # clip count 10 -> 8: the last two clips become trailing bytes
+        damaged.write_bytes(bytes(raw))
+        argv = ["train", "--config", str(config_path), "--data", str(damaged),
+                "--out", str(tmp_path / "m.ckpt")]
+    else:
+        damaged.write_bytes(ckpt_path.read_bytes() + b"\0")
+        argv = ["eval-sweep", "--model", str(damaged), "--data", str(data_path),
+                "--strategy", "clip_zero", "--modality", "video", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "trailing bytes" in err
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "s.csv").exists()
 
 
 def test_cli_report_short_merged_row_exits_2(tmp_path, capsys):

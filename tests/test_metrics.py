@@ -96,6 +96,31 @@ def test_ccc_loss_grad_vs_finite_differences():
     assert rel_err(pred.grad, fd) < 1e-4
 
 
+@pytest.mark.parametrize("n,seed", [(2, 6), (37, 7), (1600, 8)])
+def test_ccc_loss_equals_one_minus_eval_mean_ccc_exactly(n, seed):
+    rng = np.random.default_rng(seed)
+    pred, gold = rng.normal(0.3, 0.8, (n, 2)), rng.uniform(-1, 1, (n, 2))
+    loss = ccc_loss(ad.Tensor(pred, requires_grad=True), gold)
+    assert float(loss.data) == 1.0 - eval_summary(pred, gold).mean_ccc()
+
+
+def test_ccc_loss_is_one_recorded_op():
+    rng = np.random.default_rng(9)
+    pred = ad.Tensor(rng.normal(size=(10, 2)), requires_grad=True)
+    tape = ad._build_tape(ccc_loss(pred, rng.normal(size=(10, 2))))
+    assert len(tape) == 1 and tape[0]._parents == (pred,)
+
+
+def test_ccc_loss_zero_denominator_raises():
+    # constant prediction equal to a constant gold: CCC and its gradient are undefined
+    gold = np.column_stack([np.full(5, 0.25), np.linspace(-1, 1, 5)])
+    with pytest.raises(FloatingPointError, match="zero CCC denominator"):
+        ccc_loss(ad.Tensor(gold.copy(), requires_grad=True), gold)
+    # one side constant, the other varying: defined, with CCC 0 in both columns
+    pred = np.column_stack([np.linspace(-1, 1, 5), np.full(5, 0.25)])
+    assert float(ccc_loss(ad.Tensor(pred), gold).data) == 1.0
+
+
 def test_ccc_loss_shape_mismatch():
     with pytest.raises(ad.ShapeError):
         ccc_loss(ad.Tensor(np.zeros((5, 2))), np.zeros((4, 2)))

@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import struct
 import sys
@@ -457,4 +458,23 @@ def test_checkpoint_non_finite_weight_names_param(tmp_path, value):
     params["head.b"].data[1] = value
     save_checkpoint(params, SMALL, path)
     with pytest.raises(binio.FileFormatError, match="non-finite values in param 'head.b'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bytes_after_the_last_param(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(SMALL, seed=24), SMALL, path)
+    path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    with pytest.raises(binio.FileFormatError, match="trailing bytes: 4 bytes after the last param"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_param_name_not_utf8_names_file_and_field(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_params(SMALL, seed=25), SMALL, path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"head.W")] = 0xFF
+    path.write_bytes(bytes(raw))
+    want = rf"^{re.escape(str(path))}: param name b'\\xffead.W' is not UTF-8$"
+    with pytest.raises(binio.FileFormatError, match=want):
         load_checkpoint(path)

@@ -4,12 +4,20 @@ Every file `--quick` writes is listed with its SHA-256 (recorded with numpy
 2.4, OpenBLAS 0.3.31 on one thread, x86-64). A change that alters any of
 these bytes must say why; a different numpy or BLAS build may round
 differently and need the digests recorded again.
+
+To record them, run this file as a script:
+
+    python tests/test_study.py
+
+It runs `--quick` into a temporary directory and prints the table below,
+ready to paste over `QUICK_DIGESTS`.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
@@ -24,23 +32,35 @@ QUICK_DIGESTS = {
     "model_frame_repeat.ckpt": "a07f32f730f6596ba21a4c643dbaefbeb5ea95eddcb3f41441aa24227eed9ef3",
     "model_frame_zero.ckpt": "b310be490a4058a3267f90486189d6715d151dcb337c1df420e57b7ed23964b6",
     "model_none.ckpt": "9c3eda38cbbc1f3c2fef79f5a7982848ed5a90c4187ae93ea19665de10972652",
-    "sweep_clip_zero_audio.csv": "a95efc6c81ff5a50f3dab027cd216999c67f0f1b29ebaf2944b653361f0c0182",
-    "sweep_clip_zero_video.csv": "075b3af1b68a4d24f04c28dc9afaae17e8516e69a8e4f8e089f09cd4ba07e9dc",
-    "sweep_frame_repeat_audio.csv": "b2552822008989c69f68f8f6e86d04f0d487449924c980b0640890a809964025",
-    "sweep_frame_repeat_video.csv": "8e90765b319666350b8cc2ca19a8bb94ce14f692b62e5b66f1f20a2005f30633",
-    "sweep_frame_zero_audio.csv": "4ed72659357117b990bf4e2e71c756dc5b8978d5375240ed5be98b0564b15080",
-    "sweep_frame_zero_video.csv": "57cbc0e10e435d8d5cdcc783e01a9dc3c582aaa79fb7638a04a9642fec20c8f3",
-    "train_log_clip_zero.csv": "c5a8899066362b81330519b11074e90f866004ca915d427006bdd6f983d8f577",
-    "train_log_frame_repeat.csv": "e7ac90e7d1c6578b3d10fe9ac659cc1fcc406d51e834c7e2fe0ad6d96140c212",
-    "train_log_frame_zero.csv": "fcc8696c57530d4b1fcc92118f9ab09ac9354adf3f5595952afcbfc4d0a310f0",
-    "train_log_none.csv": "e2fd1066a80718c97d5cccd11ffc847e9ad6f945f4232e6113f05efefe6b2449",
+    "sweep_clip_zero_audio.csv": "cd0e63b0dbb64d3851474e2aa4e4e68cfe31c76026a13e06311ddb476b6662fa",
+    "sweep_clip_zero_video.csv": "bf91ec14adc92bd5f09510ce31d67dcf308a290afe539c140b814c04a4062fb0",
+    "sweep_frame_repeat_audio.csv": "8e88d68ca32235d1f537f3c6c02f7e0e080b508c212d89dd028b30db4568e8a7",
+    "sweep_frame_repeat_video.csv": "9d9e0e43601c79a70e13bbd8c19450ca4dbb92967b506dcf0e51e1240b7d1725",
+    "sweep_frame_zero_audio.csv": "9db1863402f6c284d3183e26ce0f430d8a3295251cd3b368bdf33d74bc9f9215",
+    "sweep_frame_zero_video.csv": "63f5d9b8b58b8c08af298c74f066164e3e791fc260a4f771ad4b8f5defcbfdc9",
+    "train_log_clip_zero.csv": "ffbd24f99bedb3475b616a9bdcc882fd7b0f5a407b3cffee30cc6bbdd413340b",
+    "train_log_frame_repeat.csv": "0b69213f8d589d9dc5f3f744e656b5c537c55d76595ef8c182fb0c2c39de7e24",
+    "train_log_frame_zero.csv": "e1cbb0d7cb320bc18eeef979fb7621717263405bcc596ffdef45788ce38cdf7a",
+    "train_log_none.csv": "d968d8c98d9c0d7cf490da2c0a083382b14b4d32283d89cf9738f5c3606e9c7e",
 }
 
 
-def test_quick_study_output_is_byte_identical(tmp_path):
-    out = tmp_path / "quick"
+def quick_study_digests(out: Path) -> dict[str, str]:
+    """Run `--quick` into `out` (one BLAS thread) and hash each file it writes."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), "--quick"],
                    check=True, capture_output=True, env=env, timeout=600)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == QUICK_DIGESTS
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_quick_study_output_is_byte_identical(tmp_path):
+    assert quick_study_digests(tmp_path / "quick") == QUICK_DIGESTS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = quick_study_digests(Path(tmp) / "quick")
+    print("QUICK_DIGESTS = {")
+    for name, digest in digests.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")
