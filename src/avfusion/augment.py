@@ -21,9 +21,9 @@ MODALITIES = ("audio", "video")
 @dataclass(frozen=True)
 class AblationSpec:
     strategy: str
-    modality: str
-    probability: float
-    seed: int
+    modality: str = "video"
+    probability: float = 0.5
+    seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:

@@ -6,21 +6,13 @@ Exit codes: 0 success, 1 check failure, 2 invalid input, 3 dimension mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import harness
 from .augment import MODALITIES, STRATEGIES
 from .binio import FileFormatError
 from .data import FPS_AUDIO, FPS_VIDEO, generate_synthetic, load_dataset, save_dataset
-from .harness import (
-    ConfigError,
-    DimensionMismatchError,
-    ReportError,
-    SplitFractions,
-    load_run_config,
-)
+from .harness import ConfigError, DimensionMismatchError, SplitFractions, load_run_config
 from .model import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
@@ -64,23 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_synth_config(path: str):
-    try:
-        obj = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    if "data" in obj:
-        run = harness.run_config_from_dict(obj)
-        if run.data is None:
-            raise ConfigError("config data section does not describe a synthetic dataset")
-        return run.data
-    return harness.synthetic_config_from_dict(obj)
-
-
 def cmd_synth(args) -> int:
-    config = _load_synth_config(args.config)
+    config = harness.load_synthetic_config(args.config)
     dataset = generate_synthetic(config)
     save_dataset(dataset, args.out)
     clip = dataset.clips[0]
@@ -173,10 +150,9 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION_MISMATCH
-    except (ConfigError, ReportError, FileFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (OSError, ValueError) as exc:
+    except (FileFormatError, OSError, ValueError, MemoryError) as exc:
+        # ValueError covers ConfigError and ReportError; MemoryError is numpy
+        # refusing an array too large for this machine (e.g. a huge d_model)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -228,6 +228,8 @@ def window_clips(clips: list[SyncedClip], seq_len: int = 100,
     already-covered frames are excluded via score_from, so every frame is
     scored exactly once.
     """
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     windows: list[Window] = []
     for clip in clips:
         t = clip.audio.shape[0]

@@ -3,6 +3,12 @@ evaluation sweeps over corruption probabilities, the gradient self-check and
 its central finite-difference oracle, and merging sweep tables (in memory or
 read from sweep CSVs).
 
+Config files have one schema: the dataclasses themselves. Each section's
+keys and defaults are its dataclass's fields (TrainParams, SplitFractions,
+AblationSpec, SyntheticConfig; ModelConfig for the `model` dict), its range
+checks are that dataclass's `__post_init__`, and one JSON reader serves
+`load_run_config` and `load_synthetic_config`.
+
 Everything here is deterministic given the config seeds: shuffling, ablation
 masks, and sweep corruption all draw from derived RNG streams keyed by stable
 indices (epoch, window position), never by wall clock or iteration order.
@@ -13,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,24 +68,37 @@ class TrainParams:
     seq_len: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ConfigError("train.lr must be > 0")
+        for name in ("epochs", "batch_size", "seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be >= 0")
+
 
 @dataclass
 class SplitFractions:
     train: float = 0.8
     val: float = 0.2
 
+    def __post_init__(self):
+        if self.train <= 0 or self.val <= 0 or self.train + self.val > 1.0 + 1e-9:
+            raise ConfigError("splits.train/splits.val must be positive with sum <= 1")
+
 
 @dataclass
 class RunConfig:
     train: TrainParams
     model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
-    ablation: AblationSpec = AblationSpec("none", "video", 0.0, 0)
+    ablation: AblationSpec = AblationSpec("none", probability=0.0)
     data: SyntheticConfig | None = None
     data_path: str | None = None
     splits: SplitFractions = field(default_factory=SplitFractions)
 
 
-def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
+def _check_keys(section: str, obj: dict, allowed) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{section} section must be a JSON object")
     for key in obj:
@@ -87,98 +106,106 @@ def _check_keys(section: str, obj: dict, allowed: set[str]) -> None:
             raise ConfigError(f"unknown key {key!r} in section {section!r}")
 
 
-def _number(section: str, obj: dict, key: str, default, kind: type):
-    """obj[key] (or the default) as a finite `kind`; an int key also takes 3.0, not 2.7."""
-    value = obj.get(key, default)
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+def _number(section: str, key: str, value, kind: type):
+    """value as a finite `kind`; an int key also takes 3.0, not 2.7."""
+    try:
+        finite = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
     if kind is int and value != int(value):
         raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
     return kind(value)
 
 
-def synthetic_config_from_dict(obj: dict) -> SyntheticConfig:
-    kinds = {f.name: int if f.type == "int" else float for f in fields(SyntheticConfig)}
-    _check_keys("data", obj, set(kinds))
-    for required in ("n_clips", "clip_seconds"):
-        if required not in obj:
-            raise ConfigError(f"data.{required} is required")
-    try:
-        return SyntheticConfig(**{key: _number("data", obj, key, None, kinds[key])
-                                  for key in obj})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+_NUMBER_KINDS = {"int": int, "float": float}
 
 
-def ablation_from_dict(obj: dict) -> AblationSpec:
-    _check_keys("ablation", obj, {"strategy", "modality", "probability", "seed"})
-    if "strategy" not in obj:
-        raise ConfigError("ablation.strategy is required")
+def _section_values(cls, section: str, obj: dict) -> dict:
+    """The keys of obj, each a field of cls, with numbers parsed by the field's type."""
+    types = {f.name: f.type for f in fields(cls)}
+    _check_keys(section, obj, types)
+    return {key: (_number(section, key, value, _NUMBER_KINDS[types[key]])
+                  if types[key] in _NUMBER_KINDS else value)
+            for key, value in obj.items()}
+
+
+def _section(cls, section: str, obj: dict):
+    """cls built from obj: its fields with no default are required, and its
+    own __post_init__ checks the values."""
+    values = _section_values(cls, section, obj)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"{section}.{f.name} is required")
     try:
-        return AblationSpec(strategy=obj["strategy"],
-                            modality=obj.get("modality", "video"),
-                            probability=_number("ablation", obj, "probability", 0.5, float),
-                            seed=_number("ablation", obj, "seed", 0, int))
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def run_config_from_dict(obj: dict) -> RunConfig:
+    """A RunConfig from a parsed config JSON object.
+
+    Each section is read against its dataclass (`train`: TrainParams,
+    `ablation`: AblationSpec, `splits`: SplitFractions, `data`:
+    SyntheticConfig or a `{"path": ...}` object). The dataclass's fields are
+    the section's keys, their defaults are the section's defaults, and its
+    `__post_init__` checks the values. The `model` section stays a dict of
+    ModelConfig field names; `model_config_for` completes and checks it once
+    the data's dims are known.
+    """
     _check_keys("run", obj, {"model", "train", "ablation", "data", "splits"})
-    train_obj = obj.get("train", {})
-    _check_keys("train", train_obj, {"lr", "epochs", "batch_size", "seq_len", "seed"})
-    if "epochs" not in train_obj:
-        raise ConfigError("train.epochs is required")
-    train = TrainParams(epochs=_number("train", train_obj, "epochs", None, int),
-                        lr=_number("train", train_obj, "lr", 1e-4, float),
-                        batch_size=_number("train", train_obj, "batch_size", 16, int),
-                        seq_len=_number("train", train_obj, "seq_len", 100, int),
-                        seed=_number("train", train_obj, "seed", 0, int))
-    if train.lr <= 0:
-        raise ConfigError("train.lr must be > 0")
-    if train.epochs < 1:
-        raise ConfigError("train.epochs must be >= 1")
-    if train.batch_size < 1:
-        raise ConfigError("train.batch_size must be >= 1")
-
-    model_obj = obj.get("model", {})
-    _check_keys("model", model_obj,
-                {"num_layers", "d_model", "num_heads", "ffn_mult", "d_audio", "d_video", "seq_len"})
-    model_obj = {key: _number("model", model_obj, key, None, int) for key in model_obj}
-
-    splits_obj = obj.get("splits", {})
-    _check_keys("splits", splits_obj, {"train", "val"})
-    splits = SplitFractions(train=_number("splits", splits_obj, "train", 0.8, float),
-                            val=_number("splits", splits_obj, "val", 0.2, float))
-    if splits.train <= 0 or splits.val <= 0 or splits.train + splits.val > 1.0 + 1e-9:
-        raise ConfigError("splits.train/splits.val must be positive with sum <= 1")
-
-    ablation = (ablation_from_dict(obj["ablation"]) if "ablation" in obj
-                else AblationSpec("none", "video", 0.0, 0))
-
-    data_cfg = None
-    data_path = None
-    if "data" in obj:
-        data_obj = obj["data"]
-        if isinstance(data_obj, dict) and "path" in data_obj:
-            _check_keys("data", data_obj, {"path"})
-            data_path = str(data_obj["path"])
-        else:
-            data_cfg = synthetic_config_from_dict(data_obj)
-
-    return RunConfig(train=train, model=dict(model_obj), ablation=ablation,
-                     data=data_cfg, data_path=data_path, splits=splits)
+    run = RunConfig(train=_section(TrainParams, "train", obj.get("train", {})),
+                    model=_section_values(ModelConfig, "model", obj.get("model", {})),
+                    splits=_section(SplitFractions, "splits", obj.get("splits", {})))
+    if "ablation" in obj:
+        run.ablation = _section(AblationSpec, "ablation", obj["ablation"])
+    data_obj = obj.get("data")
+    if isinstance(data_obj, dict) and "path" in data_obj:
+        _check_keys("data", data_obj, {"path"})
+        if not isinstance(data_obj["path"], str):
+            raise ConfigError(f"data.path must be a string, got {data_obj['path']!r}")
+        run.data_path = data_obj["path"]
+    elif "data" in obj:
+        run.data = _section(SyntheticConfig, "data", data_obj)
+    return run
 
 
-def load_run_config(path) -> RunConfig:
+def _read_text(path, error: type[ValueError]) -> str:
+    raw = Path(path).read_bytes()
     try:
-        obj = json.loads(Path(path).read_text("utf-8"))
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].count(b"\n") + 1
+        raise error(f"{path}: line {line} is not UTF-8 "
+                    f"(byte {raw[exc.start]:#04x})") from exc
+
+
+def _read_json(path) -> dict:
+    try:
+        obj = json.loads(_read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    return run_config_from_dict(obj)
+    return obj
+
+
+def load_run_config(path) -> RunConfig:
+    return run_config_from_dict(_read_json(path))
+
+
+def load_synthetic_config(path) -> SyntheticConfig:
+    """A synthetic-dataset config: a bare data section, or a run config with one."""
+    obj = _read_json(path)
+    if "data" not in obj:
+        return _section(SyntheticConfig, "data", obj)
+    data = run_config_from_dict(obj).data
+    if data is None:
+        raise ConfigError("config data section does not describe a synthetic dataset")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +347,14 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
 
 
 def write_train_log(log: list[EpochLog], path) -> None:
-    lines = ["epoch,train_loss,val_ccc_valence,val_ccc_arousal"]
-    for row in log:
-        lines.append(f"{row.epoch},{float(row.train_loss)!r},"
-                     f"{float(row.ccc_valence)!r},{float(row.ccc_arousal)!r}")
+    _write_csv(path, "epoch,train_loss,val_ccc_valence,val_ccc_arousal",
+               [(row.epoch, row.train_loss, row.ccc_valence, row.ccc_arousal) for row in log])
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """One line per row; a float cell is written as its repr, so it reads back exactly."""
+    lines = [header] + [",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+                        for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
@@ -362,11 +393,8 @@ def run_sweep(params: dict, config: ModelConfig, val_windows: list[Window],
 
 
 def write_sweep_csv(rows: list[SweepResult], path) -> None:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(f"{r.strategy},{r.modality},{float(r.probability)!r},{r.seed},"
-                     f"{float(r.ccc_valence)!r},{float(r.ccc_arousal)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_csv(path, SWEEP_HEADER, [(r.strategy, r.modality, float(r.probability), r.seed,
+                                     r.ccc_valence, r.ccc_arousal) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -446,52 +474,44 @@ def _parse_float(text: str, where: str) -> float:
 def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     """Parse one CSV into {model label: {(strategy, modality, p): (ccc_v, ccc_a)}}.
 
-    Accepts both the single-model sweep format and the merged multi-model
-    format, so merged output can be re-merged unchanged.
+    Accepts both the single-model sweep format, whose rows for one key (one per
+    seed) are averaged, and the merged multi-model format, which has one row
+    per key, so merged output can be re-merged unchanged.
     """
-    raw = Path(path).read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw[:exc.start].count(b"\n") + 1
-        raise ReportError(f"{path}: line {line} is not UTF-8 "
-                          f"(byte {raw[exc.start]:#04x})") from exc
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
         raise ReportError(f"{path}: empty CSV")
     header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    if lines[0] == SWEEP_HEADER:
-        label = Path(path).stem
-        acc: dict[tuple, list[tuple[float, float]]] = {}
-        for row in rows:
-            if len(row) != 6:
-                raise ReportError(f"{path}: malformed row {row!r}")
-            key = (row[0], row[1], _parse_float(row[2], str(path)))
-            acc.setdefault(key, []).append((_parse_float(row[4], str(path)),
-                                            _parse_float(row[5], str(path))))
-        merged = {key: (float(np.mean([v for v, _ in vals])),
-                        float(np.mean([a for _, a in vals])))
-                  for key, vals in acc.items()}
-        return {label: merged}
-    if header[:3] == ["strategy", "modality", "probability"]:
-        value_cols = header[3:]
-        labels = []
-        for col in value_cols[::2]:
+    single = lines[0] == SWEEP_HEADER
+    if single:
+        labels, first = [Path(path).stem], 4
+    elif header[:3] == ["strategy", "modality", "probability"]:
+        labels, first = [], 3
+        for col in header[3::2]:
             if not col.endswith("_ccc_valence"):
                 raise ReportError(f"{path}: unexpected merged column {col!r}")
             labels.append(col[: -len("_ccc_valence")])
-        models: dict[str, dict[tuple, tuple[float, float]]] = {lbl: {} for lbl in labels}
-        for row in rows:
-            if len(row) != 3 + 2 * len(labels):
-                raise ReportError(f"{path}: malformed row {row!r}")
-            key = (row[0], row[1], _parse_float(row[2], str(path)))
-            for j, lbl in enumerate(labels):
-                v = _parse_float(row[3 + 2 * j], str(path))
-                a = _parse_float(row[4 + 2 * j], str(path))
-                models[lbl][key] = (v, a)
-        return models
-    raise ReportError(f"{path}: unrecognized CSV header {lines[0]!r}")
+        if len(set(labels)) != len(labels):
+            raise ReportError(f"{path}: duplicate model label in header {lines[0]!r}")
+    else:
+        raise ReportError(f"{path}: unrecognized CSV header {lines[0]!r}")
+    acc: dict[str, dict[tuple, list[tuple[float, float]]]] = {label: {} for label in labels}
+    seen = set()
+    for ln in lines[1:]:
+        row = ln.split(",")
+        if len(row) != first + 2 * len(labels):
+            raise ReportError(f"{path}: malformed row {row!r}")
+        key = (row[0], row[1], _parse_float(row[2], str(path)))
+        if not single and key in seen:
+            raise ReportError(f"{path}: duplicate row for {key}")
+        seen.add(key)
+        for j, label in enumerate(labels):
+            acc[label].setdefault(key, []).append((_parse_float(row[first + 2 * j], str(path)),
+                                                   _parse_float(row[first + 2 * j + 1], str(path))))
+    return {label: {key: (float(np.mean([v for v, _ in vals])),
+                          float(np.mean([a for _, a in vals]))) if single else vals[0]
+                    for key, vals in table.items()}
+            for label, table in acc.items()}
 
 
 def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
@@ -529,14 +549,9 @@ def write_merged_csv(labels: list[str], keys: list[tuple], models: dict, path) -
     header = ["strategy", "modality", "probability"]
     for label in labels:
         header += [f"{label}_ccc_valence", f"{label}_ccc_arousal"]
-    lines = [",".join(header)]
-    for key in keys:
-        cells = [key[0], key[1], repr(float(key[2]))]
-        for label in labels:
-            v, a = models[label][key]
-            cells += [repr(float(v)), repr(float(a))]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    _write_csv(path, ",".join(header),
+               [(key[0], key[1], float(key[2]),
+                 *(cell for label in labels for cell in models[label][key])) for key in keys])
 
 
 def format_merged_table(labels: list[str], keys: list[tuple], models: dict) -> str:

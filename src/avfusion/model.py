@@ -14,7 +14,7 @@ import json
 import numbers
 import os
 from concurrent import futures
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -39,10 +39,10 @@ class ModelConfig:
     seq_len: int = 100
 
     def __post_init__(self):
-        for name in ("d_audio", "d_video", "num_layers", "d_model", "num_heads", "ffn_mult", "seq_len"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"ModelConfig.{name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"ModelConfig.{f.name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by num_heads={self.num_heads}")
 

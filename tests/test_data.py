@@ -224,6 +224,14 @@ def test_window_short_clip_warns(caplog):
     assert "shorter than seq_len" in caplog.text
 
 
+@pytest.mark.parametrize("seq_len", [0, -1])
+@pytest.mark.parametrize("evaluation", [False, True])
+def test_window_seq_len_below_one_is_error(seq_len, evaluation):
+    # the window start advances by seq_len, so these would never finish
+    with pytest.raises(ValueError, match=f"^seq_len must be >= 1, got {seq_len}$"):
+        window_clips([synced(10)], seq_len=seq_len, evaluation=evaluation)
+
+
 def test_window_determinism():
     a = window_clips([synced(310, 1), synced(250, 2)], seq_len=100, evaluation=True)
     b = window_clips([synced(310, 1), synced(250, 2)], seq_len=100, evaluation=True)

@@ -1,17 +1,23 @@
-"""Damaged input files end in a valid load or in the format's own error.
+"""Damaged inputs end in a valid load or in the format's own error.
 
 Hypothesis truncates a tiny dataset, a tiny checkpoint and a merged sweep CSV
 at any length, or flips any one of their bytes (XOR with 1..255). Each case
 must load or raise FileFormatError (binary files) or ReportError (CSV): the
 CLI maps both to exit 2 with one line, and any other exception would end in
-a traceback.
+a traceback. A fourth fuzzer builds run-config objects from the real section
+and key names with arbitrary JSON values; each must parse or raise
+ConfigError.
 """
 
+import copy
+from dataclasses import fields
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from avfusion import harness
+from avfusion.augment import MODALITIES, STRATEGIES, AblationSpec
 from avfusion.binio import FileFormatError
 from avfusion.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from avfusion.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -73,3 +79,50 @@ def test_damaged_file_loads_or_raises_its_format_error(originals, name, data):
         load(path)
     except error:
         pass
+
+
+# every key a run config may hold, by section
+CONFIG_KEYS = {section: [f.name for f in fields(cls)] for section, cls in (
+    ("train", harness.TrainParams), ("model", ModelConfig), ("ablation", AblationSpec),
+    ("splits", harness.SplitFractions), ("data", SyntheticConfig))}
+CONFIG_KEYS["data"].append("path")
+VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"},
+                "splits": {}, "data": {"n_clips": 2, "clip_seconds": 1.0}}
+DELETE = object()
+JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.just(10**400)
+               | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
+               | st.just([]) | st.just({"wat": 1}))
+# mostly values a key may take, so that many edited configs still parse
+CONFIG_VALUES = (st.integers(-2, 120) | st.floats(-0.5, 2.0)
+                 | st.sampled_from(STRATEGIES + MODALITIES) | JSON_VALUES | st.just(DELETE))
+
+
+@st.composite
+def run_config_objects(draw):
+    """VALID_CONFIG after up to four edits, each setting or deleting one key
+    (real or unknown) or replacing or deleting a whole section."""
+    obj = copy.deepcopy(VALID_CONFIG)
+    for _ in range(draw(st.integers(0, 4), label="edits")):
+        section = draw(st.sampled_from([*CONFIG_KEYS, "wat"]))
+        key = draw(st.sampled_from([*CONFIG_KEYS.get(section, []), "wat", None]))
+        value = draw(CONFIG_VALUES)
+        if key is not None and not isinstance(obj.get(section), dict):
+            obj[section] = {}
+        target, name = (obj, section) if key is None else (obj[section], key)
+        if value is DELETE:
+            target.pop(name, None)
+        else:
+            target[name] = value
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=run_config_objects())
+def test_run_config_parses_or_raises_config_error(obj):
+    try:
+        run = harness.run_config_from_dict(obj)
+    except harness.ConfigError:
+        event("ConfigError")
+        return
+    event("RunConfig")
+    assert isinstance(run, harness.RunConfig)

@@ -7,13 +7,17 @@ import pytest
 
 from avfusion import autodiff as ad
 from avfusion import harness
+from avfusion.augment import AblationSpec
 from avfusion.cli import main
 from avfusion.data import Dataset, SyntheticConfig, generate_synthetic, save_dataset
 from avfusion.harness import (
     ConfigError,
     ReportError,
+    RunConfig,
     SplitFractions,
+    TrainParams,
     gradcheck,
+    load_synthetic_config,
     merge_reports,
     merge_tables,
     prepare_data,
@@ -114,6 +118,51 @@ def test_run_config_integral_floats_count_as_integers():
     assert all(type(v) is int for v in run.model.values())
     assert (run.data.n_clips, run.data.d_video, run.data.clip_seconds) == (3, 4, 2.0)
     assert type(run.data.n_clips) is int and type(run.data.clip_seconds) is float
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("train", "seq_len", 0, "train.seq_len must be >= 1"),
+    ("train", "seq_len", -4, "train.seq_len must be >= 1"),
+    ("train", "seed", -1, "train.seed must be >= 0"),
+    ("train", "epochs", 0, "train.epochs must be >= 1"),
+    ("train", "batch_size", 0, "train.batch_size must be >= 1"),
+    ("splits", "val", 0.0, "splits.train/splits.val must be positive with sum <= 1"),
+    ("ablation", "probability", 1.5, "probability must be in [0, 1], got 1.5"),
+])
+def test_run_config_range_errors_name_keys(section, key, value, message):
+    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"}}
+    config.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_config_from_dict(config)
+
+
+@pytest.mark.parametrize("path", [None, 5, ["d.avxd"]])
+def test_run_config_data_path_must_be_a_string(path):
+    want = f"^data\\.path must be a string, got {re.escape(repr(path))}$"
+    with pytest.raises(ConfigError, match=want):
+        run_config_from_dict({"train": {"epochs": 1}, "data": {"path": path}})
+
+
+def test_run_config_int_beyond_float_range_is_not_finite():
+    with pytest.raises(ConfigError, match=r"^train\.lr must be a finite number, got 10+$"):
+        run_config_from_dict({"train": {"epochs": 1, "lr": 10**400}})
+
+
+def test_run_config_defaults_are_the_dataclass_defaults():
+    assert run_config_from_dict({"train": {"epochs": 3}}) == RunConfig(TrainParams(epochs=3))
+    run = run_config_from_dict({"train": {"epochs": 1}, "ablation": {"strategy": "frame_zero"}})
+    assert run.ablation == AblationSpec("frame_zero")
+
+
+def test_load_synthetic_config_reads_a_data_section_or_a_run_config(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TINY_RUN["data"]))
+    assert load_synthetic_config(path) == SyntheticConfig(**TINY_RUN["data"])
+    path.write_text(json.dumps(TINY_RUN))
+    assert load_synthetic_config(path) == SyntheticConfig(**TINY_RUN["data"])
+    path.write_text(json.dumps({"train": {"epochs": 1}, "data": {"path": "d.avxd"}}))
+    with pytest.raises(ConfigError, match="does not describe a synthetic dataset"):
+        load_synthetic_config(path)
 
 
 # --- data preparation ---
@@ -350,6 +399,25 @@ def test_report_averages_multiple_seeds_per_key(tmp_path):
     assert v == pytest.approx(0.2) and ar == pytest.approx(0.3)
 
 
+def test_report_merged_duplicate_key_is_error(tmp_path):
+    merged = tmp_path / "merged.csv"
+    merged.write_text("strategy,modality,probability,m_ccc_valence,m_ccc_arousal\n"
+                      "clip_zero,video,1.0,0.1,0.2\n"
+                      "clip_zero,video,1.0,0.9,0.9\n")
+    want = rf"^{re.escape(str(merged))}: duplicate row for \('clip_zero', 'video', 1\.0\)$"
+    with pytest.raises(ReportError, match=want):
+        merge_reports([merged])
+
+
+def test_report_merged_duplicate_label_is_error(tmp_path):
+    merged = tmp_path / "merged.csv"
+    merged.write_text("strategy,modality,probability,m_ccc_valence,m_ccc_arousal,"
+                      "m_ccc_valence,m_ccc_arousal\n"
+                      "clip_zero,video,1.0,0.1,0.2,0.3,0.4\n")
+    with pytest.raises(ReportError, match="duplicate model label"):
+        merge_reports([merged])
+
+
 # --- CLI ---
 
 
@@ -503,6 +571,51 @@ def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_cli_non_utf8_config_names_the_file(cli_artifacts, tmp_path, capsys, command):
+    _, config_path, data_path, _ = cli_artifacts
+    path = tmp_path / "bad.json"
+    path.write_bytes(config_path.read_bytes().replace(b'"seed"', b'"se\xffd"', 1))
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["train", "--config", str(path), "--data", str(data_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 1 is not UTF-8 (byte 0xff)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seq_len", 0, "train.seq_len must be >= 1"),  # window_clips would never finish
+    ("seed", -1, "train.seed must be >= 0"),
+])
+def test_cli_train_param_out_of_range_exits_2(cli_artifacts, tmp_path, capsys, key, value,
+                                              message):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["train"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_train_with_a_model_too_large_to_allocate_exits_2(cli_artifacts, tmp_path, capsys):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["model"]["d_model"] = 1099511627776  # 2**40: numpy refuses before allocating
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_cli_eval_sweep_on_non_finite_checkpoint_exits_2(cli_artifacts, tmp_path, capsys):
