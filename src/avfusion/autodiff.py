@@ -10,13 +10,20 @@ Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
 were checked by their producers). One graph may be recorded from several
 threads at once, each building a disjoint subgraph over shared read-only
-leaves (the model's two encoder branches do this); `backward` runs on one
-thread. Tensors are plain data and safe to hand between threads.
+leaves (the model's two encoder branches do this). Each op output remembers
+the thread that recorded it, and `backward` runs the rules of a subgraph
+recorded on one other thread on the package's worker thread, concurrently
+with the calling thread's own rules, whenever that leaves every gradient sum
+in its one-thread order (see `backward`). Tensors are plain data and safe to
+hand between threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,7 +57,8 @@ class Tensor:
     are freed as the pass goes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done",
+                 "_thread")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -59,6 +67,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
         self._backward_done = False
+        self._thread: int | None = None  # recording thread's ident; op outputs only
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -74,6 +83,7 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     out.data = out_data
     out.grad = None
     out._backward_done = False
+    out._thread = threading.get_ident()
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -110,23 +120,59 @@ def _build_tape(root: Tensor) -> list[Tensor]:
     return tape
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode accumulation of d(loss)/d(leaf) into leaf `.grad` buffers.
+def _new_worker() -> None:
+    # the package's one worker thread: model_forward runs the video encoder on
+    # it and backward runs that branch's rules on it. The executor starts its
+    # thread on the first submit, not here; a forked child gets a fresh one,
+    # as it has no copy of the parent's thread
+    global _worker
+    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-worker")
 
-    `loss` must be a scalar produced by recorded operations. The pass frees
-    the graph as it goes, so a second backward on the same tensor, or on a
-    new graph built on its op outputs, is an error (rerun the forward instead).
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _split(tape: list[Tensor]) -> tuple[list[Tensor], list[Tensor], int] | None:
+    """(own ops, other thread's ops, stop) of a tape whose ops were recorded on
+    the calling thread and on one other thread, when running the two lists
+    concurrently adds every gradient term in tape order; else None.
+
+    That holds when the other thread's ops deliver gradient only to their own
+    ops and to leaves no own op reaches, and no output of theirs is read by
+    both sides. The own ops from `stop` on must run first: the lowest of them
+    is the last own op to deliver gradient to one of theirs.
     """
-    if loss.data.ndim != 0:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward called twice on the same graph without reset")
-    tape = _build_tape(loss)
-    if not tape:
-        raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
-    # transient grads for op outputs; leaves accumulate into their own buffers
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    while tape:
+    me = threading.get_ident()
+    own = [node for node in tape if node._thread == me]
+    theirs = [node for node in tape if node._thread != me]
+    if not own or not theirs or len({node._thread for node in theirs}) != 1:
+        return None
+    their_ops = {id(node) for node in theirs}
+    own_leaves, read_by_own, stop = set(), set(), 0
+    for i, node in enumerate(own):
+        for parent in node._parents:
+            if id(parent) in their_ops:
+                if not read_by_own:
+                    stop = i
+                read_by_own.add(id(parent))
+            elif parent.requires_grad and parent._backward_rule is None:
+                own_leaves.add(id(parent))
+    for node in theirs:
+        for parent in node._parents:
+            if not parent.requires_grad:
+                continue
+            if parent._backward_rule is None:
+                if id(parent) in own_leaves:
+                    return None
+            elif id(parent) not in their_ops or id(parent) in read_by_own:
+                return None
+    return own, theirs, stop
+
+
+def _run_rules(tape: list[Tensor], grads: dict[int, np.ndarray], stop: int = 0) -> None:
+    """Run the rules of tape[stop:], last first, accumulating into `grads` and leaf grads."""
+    while len(tape) > stop:
         # popping drops the tape's reference; every consumer of `node` ran
         # before it, so once its rule has run nothing in the graph holds it
         node = tape.pop()
@@ -143,6 +189,51 @@ def backward(loss: Tensor) -> None:
                 acc = grads.get(id(parent))
                 # rules may return views of g; never mutate, always reallocate
                 grads[id(parent)] = pg if acc is None else acc + pg
+
+
+def backward(loss: Tensor) -> None:
+    """Reverse-mode accumulation of d(loss)/d(leaf) into leaf `.grad` buffers.
+
+    `loss` must be a scalar produced by recorded operations. The pass frees
+    the graph as it goes, so a second backward on the same tensor, or on a
+    new graph built on its op outputs, is an error (rerun the forward instead).
+
+    When the graph was recorded on the calling thread and on one other
+    thread, and the other thread's ops deliver gradient only to their own ops
+    and to leaves no calling-thread op reaches, with none of their outputs
+    read by both threads' ops (as in `model_forward`: the video encoder feeds
+    only the cross-modal fusion), the rules split by recording thread. The
+    calling thread runs its own rules until every gradient into the other
+    subgraph is complete, hands that subgraph to the worker thread, and runs
+    its remaining rules meanwhile. Each gradient then sums its terms in the
+    same order as on one thread, so every result is bitwise that of a
+    one-thread pass, which any other graph gets. The call returns or raises
+    only once both threads have finished; a rule's error propagates
+    unchanged (the calling thread's, if both fail).
+    """
+    if loss.data.ndim != 0:
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if loss._backward_done:
+        raise RuntimeError("backward called twice on the same graph without reset")
+    tape = _build_tape(loss)
+    if not tape:
+        raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
+    # transient grads for op outputs; leaves accumulate into their own buffers
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    split = _split(tape)
+    if split is None:
+        _run_rules(tape, grads)
+        return
+    del tape  # the two lists hold the ops now, and free them as they pop
+    own, theirs, stop = split
+    _run_rules(own, grads, stop)
+    their_grads = {id(node): grads.pop(id(node)) for node in theirs if id(node) in grads}
+    job = _worker.submit(_run_rules, theirs, their_grads)
+    try:
+        _run_rules(own, grads)
+    finally:
+        futures.wait((job,))
+    job.result()
 
 
 # ---------------------------------------------------------------------------

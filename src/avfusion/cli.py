@@ -120,6 +120,8 @@ def cmd_eval_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = harness.gradcheck(args.seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"gradcheck {status}: max rel err {report.max_rel_err:.3e} "

@@ -28,7 +28,8 @@ FPS_AUDIO = 100
 # causal audio context stacked onto each video-rate frame: 2 s at 30 fps
 CONTEXT_FRAMES = 2 * FPS_VIDEO
 
-# distinct stream index for dataset-level draws; clip ids are u32 so they never collide
+# clip ids are u32, so the dataset-level stream index never collides with a clip's
+MAX_CLIPS = (1 << 32) - 1
 _DATASET_STREAM = 1 << 32
 
 
@@ -62,8 +63,9 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clips < 1:
-            raise ValueError("n_clips must be >= 1")
+        if not 1 <= self.n_clips <= MAX_CLIPS:
+            raise ValueError(f"data.n_clips must be in [1, {MAX_CLIPS}] (clip ids are u32), "
+                             f"got {self.n_clips}")
         if not 0 < self.clip_seconds < math.inf:
             raise ValueError("clip_seconds must be finite and > 0")
         if not 0 <= self.sigma_audio < math.inf:
@@ -117,26 +119,32 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     with noise sigma_video; audio observes the linearly-interpolated latent
     at 100 fps with noise sigma_audio. Defaults keep sigma_video below
     sigma_audio so video is the richer predictor.
+
+    Each stream of all clips is allocated up front, so a dataset too large
+    for this machine raises MemoryError before any clip is generated; each
+    clip's arrays are views of one row of these.
     """
     t_v = int(round(config.clip_seconds * FPS_VIDEO))
     t_a = int(round(config.clip_seconds * FPS_AUDIO))
     if t_v < 1 or t_a < 1:
         raise ValueError(f"clip_seconds={config.clip_seconds} yields empty streams")
+    labels = np.empty((config.n_clips, t_v, 2))
+    videos = np.empty((config.n_clips, t_v, config.d_video))
+    audios = np.empty((config.n_clips, t_a, config.d_audio_lld))
     mix_rng = derive_rng(config.seed, _DATASET_STREAM)
     audio_map = mix_rng.standard_normal((2, config.d_audio_lld))
     video_map = mix_rng.standard_normal((2, config.d_video))
 
     clips = []
     innovation = np.sqrt(1.0 - config.rho * config.rho)
-    for clip_id in range(config.n_clips):
+    for clip_id, (z, video, audio) in enumerate(zip(labels, videos, audios)):
         rng = derive_rng(config.seed, clip_id)
         eps = rng.standard_normal((t_v, 2))
-        z = np.empty((t_v, 2))
         prev = np.zeros(2)
         for t in range(t_v):
             prev = np.clip(config.rho * prev + innovation * eps[t], -1.0, 1.0)
             z[t] = prev
-        video = np.tanh(z) @ video_map
+        video[...] = np.tanh(z) @ video_map
         video += config.sigma_video * rng.standard_normal((t_v, config.d_video))
         # audio frames sample the latent at their own timestamps
         pos = np.arange(t_a) * (FPS_VIDEO / FPS_AUDIO)
@@ -144,7 +152,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         i1 = np.minimum(i0 + 1, t_v - 1)
         frac = (pos - i0)[:, None]
         z_audio = (1.0 - frac) * z[i0] + frac * z[i1]
-        audio = np.tanh(z_audio) @ audio_map
+        audio[...] = np.tanh(z_audio) @ audio_map
         audio += config.sigma_audio * rng.standard_normal((t_a, config.d_audio_lld))
         clips.append(ClipRecord(id=clip_id, audio=audio, video=video, labels=z))
     return Dataset(clips)

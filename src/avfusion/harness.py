@@ -476,7 +476,9 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
 
     Accepts both the single-model sweep format, whose rows for one key (one per
     seed) are averaged, and the merged multi-model format, which has one row
-    per key, so merged output can be re-merged unchanged.
+    per key, so merged output can be re-merged unchanged. A probability
+    outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
+    no sweep's output and raises ReportError naming the row.
     """
     lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
@@ -502,12 +504,18 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         if len(row) != first + 2 * len(labels):
             raise ReportError(f"{path}: malformed row {row!r}")
         key = (row[0], row[1], _parse_float(row[2], str(path)))
+        if not 0.0 <= key[2] <= 1.0:
+            raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
         if not single and key in seen:
             raise ReportError(f"{path}: duplicate row for {key}")
         seen.add(key)
         for j, label in enumerate(labels):
-            acc[label].setdefault(key, []).append((_parse_float(row[first + 2 * j], str(path)),
-                                                   _parse_float(row[first + 2 * j + 1], str(path))))
+            pair = (_parse_float(row[first + 2 * j], str(path)),
+                    _parse_float(row[first + 2 * j + 1], str(path)))
+            for value in pair:
+                if not abs(value) <= 1.0:
+                    raise ReportError(f"{path}: CCC {value!r} outside [-1, 1] in row {ln!r}")
+            acc[label].setdefault(key, []).append(pair)
     return {label: {key: (float(np.mean([v for v, _ in vals])),
                           float(np.mean([a for _, a in vals]))) if single else vals[0]
                     for key, vals in table.items()}

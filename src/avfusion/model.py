@@ -1,10 +1,10 @@
 """Two-branch transformer with cross-modal attention fusion and a two-output head.
 
 Audio and video feature sequences pass through independent self-attention
-encoder branches, which run concurrently on two threads; a cross-modal layer
-attends each branch to the other and adds the results back through learnable
-scalar weights alpha/beta; a linear head maps the fused representation to
-per-frame (valence, arousal).
+encoder branches, which run concurrently on two threads, forward and backward;
+a cross-modal layer attends each branch to the other and adds the results back
+through learnable scalar weights alpha/beta; a linear head maps the fused
+representation to per-frame (valence, arousal).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import numbers
-import os
 from concurrent import futures
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -170,17 +169,6 @@ def cross_modal_fuse(enc_a: ad.Tensor, enc_v: ad.Tensor, params: ParameterSet,
     return ad.add(aud, vid)
 
 
-def _new_video_worker() -> None:
-    # the executor starts its one thread on the first submit, not here; a
-    # forked child gets a fresh one, as it has no copy of the parent's thread
-    global _video_worker
-    _video_worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-video")
-
-
-_new_video_worker()
-os.register_at_fork(after_in_child=_new_video_worker)
-
-
 def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
                   config: ModelConfig, batch: int = 1) -> ad.Tensor:
     """Per-frame (valence, arousal) predictions, shape [batch*seq_len x 2].
@@ -188,13 +176,15 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     With batch > 1 the inputs stack that many seq_len-frame sequences row-wise
     and are processed independently (attention never crosses sequences).
 
-    The video encoder runs on a worker thread while the calling thread runs
-    the audio encoder; the branches share only read-only params, so the
-    result is bitwise that of running them one after the other. The call
-    returns or raises only once both branches have finished, and an error in
-    either branch propagates unchanged (the audio branch's, if both fail).
-    Both branches' ops are recorded in one graph, and `backward` on its loss
-    runs on the calling thread.
+    The video encoder runs on the autodiff worker thread while the calling
+    thread runs the audio encoder; the branches share only read-only params,
+    so the result is bitwise that of running them one after the other. The
+    call returns or raises only once both branches have finished, and an
+    error in either branch propagates unchanged (the audio branch's, if both
+    fail). Both branches' ops are recorded in one graph; `backward` on its
+    loss runs the video encoder's rules on the worker thread too, while the
+    calling thread runs the audio encoder's, with bitwise the grads of a
+    one-thread pass.
     """
     rows = batch * config.seq_len
     if audio.data.shape != (rows, config.d_audio):
@@ -203,7 +193,7 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     if video.data.shape != (rows, config.d_video):
         raise ad.ShapeError(f"model_forward: video {video.data.shape} vs expected "
                             f"{(rows, config.d_video)}")
-    video_branch = _video_worker.submit(encoder_forward, video, params, "video", config, batch)
+    video_branch = ad._worker.submit(encoder_forward, video, params, "video", config, batch)
     try:
         enc_a = encoder_forward(audio, params, "audio", config, batch)
     finally:

@@ -1,4 +1,8 @@
+import contextlib
+import threading
+import time
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -302,6 +306,197 @@ def test_finite_values_whose_sum_overflows_are_accepted():
     np.testing.assert_array_equal(out.data, big.data)
     with pytest.raises(FloatingPointError):
         ad.add(big, ad.Tensor(np.array([0.0, 0.0, np.nan, 0.0])))
+
+
+# --- concurrent backward ---
+
+
+@contextlib.contextmanager
+def recording_threads(n):
+    """n live threads (neither the caller nor the autodiff worker); yields one
+    `run(fn)` per thread that returns fn() computed on that thread."""
+    pools = [futures.ThreadPoolExecutor(1) for _ in range(n)]
+    try:
+        yield [lambda fn, pool=pool: pool.submit(fn).result() for pool in pools]
+    finally:
+        for pool in pools:
+            pool.shutdown()
+
+
+def on_this_thread(fn):
+    return fn()
+
+
+def worker_thread() -> int:
+    return ad._worker.submit(threading.get_ident).result()
+
+
+@pytest.fixture
+def rule_runs(monkeypatch):
+    """Patch ad._record; returns [(op, recording thread, running thread)], one per rule run."""
+    real = ad._record
+    runs = []
+
+    def record(op, out, parents, rule, check=True):
+        recorded_on = threading.get_ident()
+
+        def traced(g):
+            runs.append((op, recorded_on, threading.get_ident()))
+            return rule(g)
+
+        return real(op, out, parents, traced, check)
+
+    monkeypatch.setattr(ad, "_record", record)
+    return runs
+
+
+def branch_leaves():
+    """Data inputs xa, xv [6 x 4] and weights wa, wv, wu [4 x 3]."""
+    leaves = {name: ad.Tensor(rand((6, 4), seed)) for seed, name in enumerate(("xa", "xv"), 60)}
+    leaves.update({name: ad.Tensor(rand((4, 3), seed), requires_grad=True)
+                   for seed, name in enumerate(("wa", "wv", "wu"), 62)})
+    return leaves
+
+
+def branch(x, w):
+    return ad.relu(ad.matmul(x, w))
+
+
+def square_mean(x):
+    return ad.tmean(ad.mul(x, x))
+
+
+# each builds a loss over branch_leaves(), recording the parts passed to
+# run1/run2 on those threads; two_branches splits, every other one must not
+def two_branches(l, run1, run2):
+    ha = branch(l["xa"], l["wa"])
+    hv = run1(lambda: branch(l["xv"], l["wv"]))
+    return square_mean(ad.add(ad.mul(ha, hv), hv))  # hv read by two calling-thread ops
+
+
+def theirs_reads_an_own_output(l, run1, run2):
+    ha = ad.matmul(l["xa"], l["wa"])
+    hv = run1(lambda: ad.relu(ad.mul(ha, ha)))
+    return square_mean(ad.add(hv, ha))
+
+
+def theirs_reaches_an_own_leaf(l, run1, run2):
+    ha = branch(l["xa"], l["wa"])
+    hv = run1(lambda: branch(l["xv"], l["wa"]))
+    return square_mean(ad.add(ad.mul(ha, hv), hv))
+
+
+def their_output_read_by_both_threads(l, run1, run2):
+    def theirs():
+        hv = branch(l["xv"], l["wv"])
+        return hv, ad.mul(hv, hv)
+
+    ha = branch(l["xa"], l["wa"])
+    hv, rv = run1(theirs)
+    return square_mean(ad.add(ad.mul(ha, hv), rv))
+
+
+def two_other_threads(l, run1, run2):
+    ha = branch(l["xa"], l["wa"])
+    hv = run1(lambda: branch(l["xv"], l["wv"]))
+    hu = run2(lambda: branch(l["xv"], l["wu"]))
+    return square_mean(ad.add(ad.mul(ha, hv), hu))
+
+
+def all_on_another_thread(l, run1, run2):
+    return run1(lambda: two_branches(l, on_this_thread, on_this_thread))
+
+
+def leaf_grads(build, run1=on_this_thread, run2=on_this_thread):
+    leaves = branch_leaves()
+    ad.backward(build(leaves, run1, run2))
+    return {name: leaf.grad for name, leaf in leaves.items() if leaf.requires_grad}
+
+
+def assert_grads_equal(got, want):
+    assert list(got) == list(want)
+    for name, g in got.items():
+        np.testing.assert_array_equal(g, want[name], err_msg=name)
+
+
+def test_two_thread_graph_runs_the_other_threads_rules_on_the_worker_bitwise(rule_runs):
+    want = leaf_grads(two_branches)
+    rule_runs.clear()
+    with recording_threads(1) as (run,):
+        got = leaf_grads(two_branches, run)
+    assert_grads_equal(got, want)
+    me = threading.get_ident()
+    ran = {(recorded == me, running) for _, recorded, running in rule_runs}
+    assert ran == {(True, me), (False, worker_thread())}
+    assert len(rule_runs) == 8  # each op's rule ran once
+
+
+@pytest.mark.parametrize("build", [theirs_reads_an_own_output, theirs_reaches_an_own_leaf,
+                                   their_output_read_by_both_threads, two_other_threads,
+                                   all_on_another_thread])
+def test_graph_that_cannot_split_exactly_runs_on_the_calling_thread_bitwise(rule_runs, build):
+    want = leaf_grads(build)
+    rule_runs.clear()
+    with recording_threads(2) as (run1, run2):
+        got = leaf_grads(build, run1, run2)
+    assert_grads_equal(got, want)
+    assert any(recorded != threading.get_ident() for _, recorded, _ in rule_runs)
+    assert {running for _, _, running in rule_runs} == {threading.get_ident()}
+
+
+class ProbeError(Exception):
+    pass
+
+
+# the slow side's rule is still running when the other side's rule raises
+@pytest.mark.parametrize("failing,slow", [(("calling",), "worker"), (("worker",), "calling"),
+                                          (("calling", "worker"), "worker")])
+def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(failing, slow):
+    errors = {side: ProbeError(side) for side in ("calling", "worker")}
+    finished = {}
+
+    def probe(x, side):
+        def rule(g):
+            if side == slow:
+                time.sleep(0.2)
+            finished[side] = (threading.get_ident(), time.perf_counter())
+            if side in failing:
+                raise errors[side]
+            return (g,)
+
+        return ad._record("probe", x.data.copy(), (x,), rule)
+
+    leaves = branch_leaves()
+    ha = probe(branch(leaves["xa"], leaves["wa"]), "calling")
+    with recording_threads(1) as (run,):
+        hv = run(lambda: probe(branch(leaves["xv"], leaves["wv"]), "worker"))
+    with pytest.raises(ProbeError) as exc:
+        ad.backward(square_mean(ad.add(ad.mul(ha, hv), hv)))
+    returned = time.perf_counter()
+    assert exc.value is errors[failing[0]]  # the calling thread's, when both fail
+    assert finished["calling"][0] == threading.get_ident()
+    assert finished["worker"][0] == worker_thread()
+    assert all(at <= returned for _, at in finished.values())
+
+
+def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads():
+    leaves = branch_leaves()
+    with recording_threads(1) as (run,):
+        loss = two_branches(leaves, run, on_this_thread)
+    ops = ad._build_tape(loss)
+    assert ad._split(list(ops)) is not None
+    their_op = next(node for node in ops if node._thread != threading.get_ident())
+    ad.backward(loss)
+    for node in ops:
+        assert node.grad is None
+        assert node._parents == () and node._backward_rule is None
+    for name in ("wa", "wv"):
+        assert leaves[name].grad.any(), name
+    with pytest.raises(RuntimeError, match="twice"):
+        ad.backward(loss)
+    for node in (ops[-2], their_op):
+        with pytest.raises(RuntimeError, match="freed"):
+            ad.backward(ad.tmean(node))
 
 
 # --- adam ---

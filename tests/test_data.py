@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from avfusion import binio
+from avfusion import binio, data
 from avfusion.data import (
+    MAX_CLIPS,
     ClipRecord,
     Dataset,
     NormStats,
@@ -35,6 +36,22 @@ def test_synthetic_config_validation():
         SyntheticConfig(n_clips=1, clip_seconds=1.0, rho=1.0)
     with pytest.raises(ValueError, match="n_clips"):
         SyntheticConfig(n_clips=0, clip_seconds=1.0)
+
+
+def test_n_clips_is_bounded_by_u32_clip_ids():
+    SyntheticConfig(n_clips=MAX_CLIPS, clip_seconds=1.0)
+    for n in (MAX_CLIPS + 1, 10000000000000):
+        with pytest.raises(ValueError, match=rf"^data.n_clips must be in \[1, 4294967295\]"):
+            SyntheticConfig(n_clips=n, clip_seconds=1.0)
+
+
+def test_dataset_too_large_to_hold_fails_before_generation(monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(data, "derive_rng", no_generation)
+    with pytest.raises(MemoryError):  # about 1e18 bytes of labels alone
+        generate_synthetic(SyntheticConfig(n_clips=MAX_CLIPS, clip_seconds=500000.0))
 
 
 def test_generate_deterministic():

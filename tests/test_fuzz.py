@@ -4,7 +4,8 @@ Hypothesis truncates a tiny dataset, a tiny checkpoint and a merged sweep CSV
 at any length, or flips any one of their bytes (XOR with 1..255). Each case
 must load or raise FileFormatError (binary files) or ReportError (CSV): the
 CLI maps both to exit 2 with one line, and any other exception would end in
-a traceback. A fourth fuzzer builds run-config objects from the real section
+a traceback. A CSV that loads must hold only probabilities in [0, 1] and
+CCCs in [-1, 1]. A fourth fuzzer builds run-config objects from the real section
 and key names with arbitrary JSON values; each must parse or raise
 ConfigError.
 """
@@ -76,9 +77,13 @@ def test_damaged_file_loads_or_raises_its_format_error(originals, name, data):
     path.write_bytes(damaged)
     _, load, error = FORMATS[name]
     try:
-        load(path)
+        loaded = load(path)
     except error:
-        pass
+        return
+    if name == "merged_csv":  # an accepted CSV holds only values a sweep can produce
+        for table in loaded.values():
+            for (_, _, p), (v, a) in table.items():
+                assert 0.0 <= p <= 1.0 and abs(v) <= 1.0 and abs(a) <= 1.0
 
 
 # every key a run config may hold, by section

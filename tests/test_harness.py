@@ -548,6 +548,56 @@ def test_cli_report_short_merged_row_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "malformed row" in err
 
 
+@pytest.mark.parametrize("row,message", [
+    ("clip_zero,video,nan,0,inf,7.5", "probability nan outside [0, 1]"),
+    ("clip_zero,video,-3,0,nan,0.1", "probability -3.0 outside [0, 1]"),
+    ("clip_zero,video,1.5,0,0.1,0.2", "probability 1.5 outside [0, 1]"),
+    ("clip_zero,video,0.5,0,inf,0.1", "CCC inf outside [-1, 1]"),
+    ("clip_zero,video,0.5,0,0.1,nan", "CCC nan outside [-1, 1]"),
+    ("clip_zero,video,0.5,0,0.1,7.5", "CCC 7.5 outside [-1, 1]"),
+    ("clip_zero,video,0.5,0,-1.01,0.1", "CCC -1.01 outside [-1, 1]"),
+])
+def test_cli_report_value_no_sweep_can_produce_exits_2(tmp_path, capsys, row, message):
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", row])
+    assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message} in row {row!r}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_report_accepts_the_bounds_of_each_range(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,0.0,0,-1.0,1.0", "clip_zero,video,1.0,0,1.0,-1.0"])
+    (table,) = harness.read_sweep_results(path).values()
+    assert table == {("clip_zero", "video", 0.0): (-1.0, 1.0),
+                     ("clip_zero", "video", 1.0): (1.0, -1.0)}
+
+
+def test_cli_synth_more_clips_than_u32_ids_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_clips": 10000000000000, "clip_seconds": 1.0}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "x.avxd")]) == 2
+    assert capsys.readouterr().err == ("error: data.n_clips must be in [1, 4294967295] "
+                                       "(clip ids are u32), got 10000000000000\n")
+    assert not (tmp_path / "x.avxd").exists()
+
+
+def test_cli_synth_dataset_too_large_to_allocate_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    # 2**32 - 1 clips of 15M frames: about 1e18 bytes of labels alone
+    path.write_text(json.dumps({"n_clips": 4294967295, "clip_seconds": 500000.0}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "x.avxd")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "x.avxd").exists()
+
+
+def test_cli_gradcheck_negative_seed_exits_2(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("synth", "data", "sigma_audio", "abc"),
     ("train", "model", "d_model", "abc"),

@@ -355,6 +355,101 @@ def test_forward_in_a_forked_child_of_a_process_that_used_the_worker():
         assert (f.read(), os.waitstatus_to_exitcode(status)) == (b"same", 0)
 
 
+# --- concurrent backward ---
+
+
+def _training_step(params, inputs, config=DEEP, batch=1):
+    """Leaf grads of one forward + CCC loss + backward on `params`."""
+    audio, video = inputs
+    gold = np.random.default_rng(26).uniform(-1, 1, (batch * config.seq_len, 2))
+    ad.backward(ccc_loss(model_forward(audio, video, params, config, batch=batch), gold))
+    return {name: p.grad for name, p in params.items()}
+
+
+def test_video_encoder_rules_run_on_the_worker_and_the_rest_on_the_calling_thread(monkeypatch):
+    real_encoder, real_record = model.encoder_forward, ad._record
+    part = threading.local()  # the model part each thread is recording
+    recorded, ran = [], []
+
+    def encoder(x, params, branch, *args):
+        part.name = branch
+        try:
+            return real_encoder(x, params, branch, *args)
+        finally:
+            part.name = "rest"
+
+    def record(op, out, parents, rule, check=True):
+        name = getattr(part, "name", "rest")
+        recorded.append(name)
+
+        def traced(g):
+            ran.append((name, threading.get_ident()))
+            return rule(g)
+
+        return real_record(op, out, parents, traced, check)
+
+    monkeypatch.setattr(model, "encoder_forward", encoder)
+    monkeypatch.setattr(ad, "_record", record)
+    _training_step(init_params(DEEP, seed=26), small_inputs(26, DEEP))
+    worker = ad._worker.submit(threading.get_ident).result()
+    assert worker != threading.get_ident()
+    assert sorted(ran) == sorted(
+        (name, worker if name == "video" else threading.get_ident()) for name in recorded)
+    assert {"audio", "video", "rest"} == set(recorded)  # rest: cross-modal, head, loss
+
+
+def test_concurrent_trainers_each_get_the_grads_of_a_lone_call():
+    inputs = [small_inputs(seed, DEEP) for seed in range(6)]
+    want = [_training_step(init_params(DEEP, seed=27), x) for x in inputs]
+    got = [[] for _ in inputs]
+
+    def trainer(i):
+        for _ in range(3):
+            got[i].append(_training_step(init_params(DEEP, seed=27), inputs[i]))
+
+    threads = [threading.Thread(target=trainer, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for runs, expected in zip(got, want):
+        assert len(runs) == 3
+        for grads in runs:
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, expected[name], err_msg=name)
+
+
+def test_training_step_in_a_forked_child_of_a_process_that_used_the_worker():
+    inputs = small_inputs(28, DEEP)
+    want = _training_step(init_params(DEEP, seed=28), inputs)  # starts the worker thread
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the alarm ends a child whose forward or backward would wait forever
+            signal.alarm(20)
+            got = _training_step(init_params(DEEP, seed=28), inputs)
+            same = all(np.array_equal(got[name], g) for name, g in want.items())
+            os.write(write_end, b"same" if same else b"differs")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(read_end, "rb") as f:
+        assert (f.read(), os.waitstatus_to_exitcode(status)) == (b"same", 0)
+
+
+def test_a_training_step_leaves_one_worker_thread():
+    _training_step(init_params(DEEP, seed=29), small_inputs(29, DEEP))
+    workers = [t.name for t in threading.enumerate() if t.name.startswith("avfusion")]
+    assert len(workers) == 1, workers
+
+
 # --- checkpoints ---
 
 
