@@ -358,9 +358,16 @@ def _block_dims(op: str, rows: int, d: int, num_heads: int, block_len: int) -> t
 
 
 # score buffers are processed in head chunks small enough to stay cache
-# resident; the backward pass recomputes the softmax weights per chunk
-# instead of materializing all [B*H, T, T] of them (commodity 2-core boxes
-# are memory-bandwidth bound, so recomputation is cheaper than the traffic)
+# resident: at B16 T100 H4 d_model 32, fwd+bwd took 12-14 ms with chunks of
+# 4 or 8, 14 with 16 and 16 with 64 (2-core box, 32 MiB mmap threshold).
+# The backward pass recomputes each chunk's softmax weights instead of
+# keeping all [B*H, T, T] of them from the forward. That is not the faster
+# kernel: keeping them (5 MB at those dims) took 10-11 ms fwd+bwd against
+# 13-14, with bitwise-equal grads, and a study-full one-step training call
+# 150-158 ms against 167-179. Recomputing keeps the inference forward free
+# of weights it would never read: keeping them there too slowed a batch-16
+# inference forward from 43-58 to 53-63 ms. Keeping them only when an input
+# requires grad would take both gains, and is not done yet.
 _ATTN_CHUNK = 8
 
 

@@ -304,6 +304,14 @@ def load_dataset(path) -> Dataset:
                 if fps != want:
                     raise binio.FileFormatError(
                         f"unsupported rate: clip {clip_id} has {name}={fps}, expected {want}")
+            if clips:  # every clip feeds one model, so all share clip 0's feature widths
+                first = clips[0]
+                for name, width, want in (("D_v", d_v, first.video.shape[1]),
+                                          ("D_a", d_a, first.audio.shape[1])):
+                    if width != want:
+                        raise binio.FileFormatError(
+                            f"invariant violation: clip {clip_id} has {name}={width}, "
+                            f"but clip {first.id} has {name}={want}")
             video = binio.read_f32_array(f, (t_v, d_v), f"clip {clip_id} video (T_v x D_v)")
             audio = binio.read_f32_array(f, (t_a, d_a), f"clip {clip_id} audio (T_a x D_a)")
             labels = binio.read_f32_array(f, (t_v, 2), f"clip {clip_id} labels (T_v x 2)")

@@ -310,7 +310,7 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
     params = init_params(config, run.train.seed)
     plist = list(params.values())
     state = ad.AdamState.for_params(plist)
-    best_params = clone_params(params)
+    best_params = None  # epoch 0 is always taken: a copy before it would never be returned
     best_metric = -np.inf
     best_epoch = 0
     log: list[EpochLog] = []
@@ -339,7 +339,7 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
         summary = evaluate_windows(params, config, prep.val_windows)
         log.append(EpochLog(epoch, float(np.mean(losses)),
                             summary.ccc_valence, summary.ccc_arousal))
-        if summary.mean_ccc() > best_metric:
+        if best_params is None or summary.mean_ccc() > best_metric:
             best_metric = summary.mean_ccc()
             best_params = clone_params(params)
             best_epoch = epoch

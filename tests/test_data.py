@@ -324,6 +324,18 @@ def test_dataset_unsupported_rate_names_clip_and_field(tmp_path, field, value):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field,stream", [("D_v", "video"), ("D_a", "audio")])
+def test_dataset_mixed_feature_widths_name_clip_field_and_widths(tmp_path, field, stream):
+    clips = [ClipRecord(id=i, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                        labels=np.zeros((3, 2))) for i in (5, 6, 7)]
+    setattr(clips[2], stream, np.zeros((10 if stream == "audio" else 3, 3)))
+    path = tmp_path / "mixed.avxd"
+    save_dataset(Dataset(clips), path)
+    with pytest.raises(binio.FileFormatError,
+                       match=f"clip 7 has {field}=3, but clip 5 has {field}=2"):
+        load_dataset(path)
+
+
 def _one_clip_file(path, t_v, d_v):
     """A valid one-clip dataset file whose header then claims T_v x D_v video."""
     clip = ClipRecord(id=0, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),

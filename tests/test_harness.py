@@ -234,6 +234,29 @@ def test_one_training_step_records_80_ops(tiny_prep, monkeypatch):
     assert {"sub", "div", "scale", "slice_cols", "mean"}.isdisjoint(ops)
 
 
+def test_best_epoch_is_the_first_argmax_and_its_params_are_returned(tiny_prep):
+    cfg = {**TINY_RUN, "train": {**TINY_RUN["train"], "epochs": 3, "lr": 1e-2}}
+    result = train_on_prepared(run_config_from_dict(cfg), tiny_prep)
+    means = [0.5 * (row.ccc_valence + row.ccc_arousal) for row in result.log]
+    assert result.best_epoch == int(np.argmax(means)) != len(means) - 1
+    best = result.log[result.best_epoch]
+    summary = harness.evaluate_windows(result.params, result.config, tiny_prep.val_windows)
+    assert (summary.ccc_valence, summary.ccc_arousal) == (best.ccc_valence, best.ccc_arousal)
+
+
+def test_one_epoch_run_clones_the_params_once(tiny_prep, monkeypatch):
+    clones = []
+
+    def counting(params):
+        clones.append(params)
+        return clone_params(params)
+
+    monkeypatch.setattr(harness, "clone_params", counting)
+    cfg = {**TINY_RUN, "train": {**TINY_RUN["train"], "epochs": 1}}
+    result = train_on_prepared(run_config_from_dict(cfg), tiny_prep)
+    assert len(clones) == 1 and result.best_epoch == 0
+
+
 def test_checkpoint_roundtrip_preserves_ccc(tiny_result, tiny_prep, tmp_path):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(tiny_result.params, tiny_result.config, p1)
@@ -516,6 +539,18 @@ def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "clip 0 has fps_a=50, expected 100" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_on_mixed_feature_widths_exits_2(cli_artifacts, tmp_path, capsys):
+    _, config_path, _, _ = cli_artifacts
+    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    dataset.clips[3].video = dataset.clips[3].video[:, :5]
+    save_dataset(dataset, tmp_path / "mixed.avxd")
+    code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "mixed.avxd"),
+                 "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "clip 3 has D_v=5, but clip 0 has D_v=6" in err
 
 
 @pytest.mark.parametrize("command", ["train", "eval-sweep"])
