@@ -8,21 +8,17 @@ through `_record` (the CCC training loss in `metrics` is one op).
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
-were checked by their producers). One graph may be recorded from several
-threads at once, each building a disjoint subgraph over shared read-only
-leaves (the model's two encoder branches do this). Each op output remembers
-the thread that recorded it, and `backward` runs the rules of a subgraph
-recorded on one other thread on the package's worker thread, concurrently
-with the calling thread's own rules, whenever that leaves every gradient sum
-in its one-thread order (see `backward`). Tensors are plain data and safe to
-hand between threads.
+were checked by their producers). `fork_join` records one branch of a graph
+on the package's worker thread while the calling thread records the other,
+and `backward` runs that branch's rules on the worker too, concurrently with
+the calling thread's own. Tensors are plain data and safe to hand between
+threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,8 +53,7 @@ class Tensor:
     are freed as the pass goes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done",
-                 "_thread")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -67,7 +62,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward_rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
         self._backward_done = False
-        self._thread: int | None = None  # recording thread's ident; op outputs only
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -83,7 +77,6 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     out.data = out_data
     out.grad = None
     out._backward_done = False
-    out._thread = threading.get_ident()
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -121,10 +114,10 @@ def _build_tape(root: Tensor) -> list[Tensor]:
 
 
 def _new_worker() -> None:
-    # the package's one worker thread: model_forward runs the video encoder on
-    # it and backward runs that branch's rules on it. The executor starts its
-    # thread on the first submit, not here; a forked child gets a fresh one,
-    # as it has no copy of the parent's thread
+    # the package's one worker thread, which runs fork_join's `there` branch
+    # forward and backward. The executor starts its thread on the first
+    # submit, not here; a forked child gets a fresh one, as it has no copy of
+    # the parent's thread
     global _worker
     _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-worker")
 
@@ -133,52 +126,55 @@ _new_worker()
 os.register_at_fork(after_in_child=_new_worker)
 
 
-def _split(tape: list[Tensor]) -> tuple[list[Tensor], list[Tensor], int] | None:
-    """(own ops, other thread's ops, stop) of a tape whose ops were recorded on
-    the calling thread and on one other thread, when running the two lists
-    concurrently adds every gradient term in tape order; else None.
+def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[Tensor, Tensor]:
+    """(there(), here()), with `there` run on the worker thread while the
+    calling thread runs `here`.
 
-    That holds when the other thread's ops deliver gradient only to their own
-    ops and to leaves no own op reaches, and no output of theirs is read by
-    both sides. The own ops from `stop` on must run first: the lowest of them
-    is the last own op to deliver gradient to one of theirs.
+    Returns or raises only once both have finished; an error in either
+    propagates unchanged (here's, if both fail). `backward` through there's
+    tensor runs the rules of the subgraph below it on the worker, as soon as
+    its gradient is complete and while the calling thread runs its remaining
+    rules. Each gradient then sums its terms in one-thread order, so every
+    result is bitwise that of a one-thread pass, provided the rest of the
+    graph reaches the subgraph below there's tensor only through that tensor
+    and shares no grad-requiring leaf with it (the model's two encoder
+    branches meet only at the cross-modal fusion). `there` must not call
+    fork_join itself.
     """
-    me = threading.get_ident()
-    own = [node for node in tape if node._thread == me]
-    theirs = [node for node in tape if node._thread != me]
-    if not own or not theirs or len({node._thread for node in theirs}) != 1:
-        return None
-    their_ops = {id(node) for node in theirs}
-    own_leaves, read_by_own, stop = set(), set(), 0
-    for i, node in enumerate(own):
-        for parent in node._parents:
-            if id(parent) in their_ops:
-                if not read_by_own:
-                    stop = i
-                read_by_own.add(id(parent))
-            elif parent.requires_grad and parent._backward_rule is None:
-                own_leaves.add(id(parent))
-    for node in theirs:
-        for parent in node._parents:
-            if not parent.requires_grad:
-                continue
-            if parent._backward_rule is None:
-                if id(parent) in own_leaves:
-                    return None
-            elif id(parent) not in their_ops or id(parent) in read_by_own:
-                return None
-    return own, theirs, stop
+    job = _worker.submit(there)
+    try:
+        mine = here()
+    finally:
+        futures.wait((job,))
+    root = job.result()
+    if root._backward_rule is None:
+        return root, mine
+    # a parentless stand-in for root, built without _record so the graph
+    # gains no op: its rule hands root's subgraph to the worker, building the
+    # sub-tape first so that the job holds no more than the ops left to run
+    handoff = Tensor.__new__(Tensor)
+    handoff.data, handoff.requires_grad, handoff.grad = root.data, True, None
+    handoff._parents, handoff._backward_done = (), False
+    handoff._backward_rule = lambda g: _worker.submit(
+        _run_rules, _build_tape(root), {id(root): g}, [])
+    return handoff, mine
 
 
-def _run_rules(tape: list[Tensor], grads: dict[int, np.ndarray], stop: int = 0) -> None:
-    """Run the rules of tape[stop:], last first, accumulating into `grads` and leaf grads."""
-    while len(tape) > stop:
+def _run_rules(tape: list[Tensor], grads: dict[int, np.ndarray],
+               jobs: list[futures.Future]) -> None:
+    """Run the rules of `tape`, last first, accumulating into `grads` and leaf
+    grads; a fork_join stand-in's rule adds its worker job to `jobs`."""
+    while tape:
         # popping drops the tape's reference; every consumer of `node` ran
         # before it, so once its rule has run nothing in the graph holds it
         node = tape.pop()
         parents, rule = node._parents, node._backward_rule
         node._parents, node._backward_rule, node._backward_done = (), None, True
-        for parent, pg in zip(parents, rule(grads.pop(id(node)))):
+        pgs = rule(grads.pop(id(node)))
+        if isinstance(pgs, futures.Future):
+            jobs.append(pgs)
+            continue
+        for parent, pg in zip(parents, pgs):
             if pg is None or not parent.requires_grad:
                 continue
             if parent._backward_rule is None:
@@ -198,18 +194,11 @@ def backward(loss: Tensor) -> None:
     the graph as it goes, so a second backward on the same tensor, or on a
     new graph built on its op outputs, is an error (rerun the forward instead).
 
-    When the graph was recorded on the calling thread and on one other
-    thread, and the other thread's ops deliver gradient only to their own ops
-    and to leaves no calling-thread op reaches, with none of their outputs
-    read by both threads' ops (as in `model_forward`: the video encoder feeds
-    only the cross-modal fusion), the rules split by recording thread. The
-    calling thread runs its own rules until every gradient into the other
-    subgraph is complete, hands that subgraph to the worker thread, and runs
-    its remaining rules meanwhile. Each gradient then sums its terms in the
-    same order as on one thread, so every result is bitwise that of a
-    one-thread pass, which any other graph gets. The call returns or raises
-    only once both threads have finished; a rule's error propagates
-    unchanged (the calling thread's, if both fail).
+    The rules of a branch recorded by `fork_join` run on the worker thread
+    (see there); every other rule runs on the calling thread, whichever
+    thread recorded it. The call returns or raises only once the worker has
+    finished too; a rule's error propagates unchanged (the calling thread's,
+    if both fail).
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -219,21 +208,13 @@ def backward(loss: Tensor) -> None:
     if not tape:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
     # transient grads for op outputs; leaves accumulate into their own buffers
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    split = _split(tape)
-    if split is None:
-        _run_rules(tape, grads)
-        return
-    del tape  # the two lists hold the ops now, and free them as they pop
-    own, theirs, stop = split
-    _run_rules(own, grads, stop)
-    their_grads = {id(node): grads.pop(id(node)) for node in theirs if id(node) in grads}
-    job = _worker.submit(_run_rules, theirs, their_grads)
+    jobs: list[futures.Future] = []
     try:
-        _run_rules(own, grads)
+        _run_rules(tape, {id(loss): np.ones_like(loss.data)}, jobs)
     finally:
-        futures.wait((job,))
-    job.result()
+        futures.wait(jobs)
+    for job in jobs:
+        job.result()
 
 
 # ---------------------------------------------------------------------------

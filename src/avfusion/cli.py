@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import harness
 from .augment import MODALITIES, STRATEGIES
@@ -145,9 +146,19 @@ _COMMANDS = {
 }
 
 
+def _check_output_dirs(args) -> None:
+    # before any work: a missing directory would otherwise fail only at the
+    # write, after the training or sweep it was to save
+    for flag in ("out", "log"):
+        parent = Path(getattr(args, flag, None) or "").parent
+        if not parent.is_dir():
+            raise ConfigError(f"--{flag}: directory {str(parent)!r} does not exist")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args)
         return _COMMANDS[args.command](args)
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

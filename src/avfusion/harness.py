@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .augment import AblationSpec, ablate_sequence
+from .augment import MODALITIES, STRATEGIES, AblationSpec, ablate_sequence
 from .data import (
     Dataset,
     SyntheticConfig,
@@ -476,9 +476,12 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
 
     Accepts both the single-model sweep format, whose rows for one key (one per
     seed) are averaged, and the merged multi-model format, which has one row
-    per key, so merged output can be re-merged unchanged. A probability
-    outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
-    no sweep's output and raises ReportError naming the row.
+    per key, so merged output can be re-merged unchanged. A strategy or
+    modality `augment` does not know, a probability outside [0, 1] or a CCC
+    outside [-1, 1] (NaN and infinities included) is no sweep's output and
+    raises ReportError naming the row. So does a model label (a single-model
+    CSV's file stem) holding a comma or line break, which the merged format
+    cannot write.
     """
     lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
@@ -487,12 +490,18 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     single = lines[0] == SWEEP_HEADER
     if single:
         labels, first = [Path(path).stem], 4
-    elif header[:3] == ["strategy", "modality", "probability"]:
+        if any(c in labels[0] for c in ",\r\n"):
+            # the merged CSV's header could not hold it as a column name; the
+            # path is quoted so that the message stays on one line
+            raise ReportError(f"{str(path)!r}: model label {labels[0]!r} contains a comma "
+                              "or line break")
+    elif header[:3] == ["strategy", "modality", "probability"] and len(header) % 2 == 1:
         labels, first = [], 3
-        for col in header[3::2]:
-            if not col.endswith("_ccc_valence"):
-                raise ReportError(f"{path}: unexpected merged column {col!r}")
-            labels.append(col[: -len("_ccc_valence")])
+        for valence, arousal in zip(header[3::2], header[4::2]):
+            label = valence[: -len("_ccc_valence")]
+            if not valence.endswith("_ccc_valence") or arousal != f"{label}_ccc_arousal":
+                raise ReportError(f"{path}: unexpected merged columns {valence!r}, {arousal!r}")
+            labels.append(label)
         if len(set(labels)) != len(labels):
             raise ReportError(f"{path}: duplicate model label in header {lines[0]!r}")
     else:
@@ -503,6 +512,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         row = ln.split(",")
         if len(row) != first + 2 * len(labels):
             raise ReportError(f"{path}: malformed row {row!r}")
+        if row[0] not in STRATEGIES or row[1] not in MODALITIES:
+            raise ReportError(f"{path}: unknown strategy or modality in row {ln!r}")
         key = (row[0], row[1], _parse_float(row[2], str(path)))
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")

@@ -1,10 +1,10 @@
 """Two-branch transformer with cross-modal attention fusion and a two-output head.
 
 Audio and video feature sequences pass through independent self-attention
-encoder branches, which run concurrently on two threads, forward and backward;
-a cross-modal layer attends each branch to the other and adds the results back
-through learnable scalar weights alpha/beta; a linear head maps the fused
-representation to per-frame (valence, arousal).
+encoder branches, which `autodiff.fork_join` runs concurrently on two
+threads, forward and backward; a cross-modal layer attends each branch to the
+other and adds the results back through learnable scalar weights alpha/beta;
+a linear head maps the fused representation to per-frame (valence, arousal).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import json
 import numbers
-from concurrent import futures
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -176,15 +175,15 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     With batch > 1 the inputs stack that many seq_len-frame sequences row-wise
     and are processed independently (attention never crosses sequences).
 
-    The video encoder runs on the autodiff worker thread while the calling
-    thread runs the audio encoder; the branches share only read-only params,
-    so the result is bitwise that of running them one after the other. The
-    call returns or raises only once both branches have finished, and an
-    error in either branch propagates unchanged (the audio branch's, if both
-    fail). Both branches' ops are recorded in one graph; `backward` on its
-    loss runs the video encoder's rules on the worker thread too, while the
-    calling thread runs the audio encoder's, with bitwise the grads of a
-    one-thread pass.
+    `autodiff.fork_join` runs the video encoder on the autodiff worker
+    thread while the calling thread runs the audio encoder; the branches
+    share no param and meet only at the cross-modal fusion, so the result is
+    bitwise that of running them one after the other. The call returns or
+    raises only once both branches have finished, and an error in either
+    branch propagates unchanged (the audio branch's, if both fail).
+    `backward` on a loss of the result runs the video encoder's rules on the
+    worker thread too, while the calling thread runs the audio encoder's,
+    with bitwise the grads of a one-thread pass.
     """
     rows = batch * config.seq_len
     if audio.data.shape != (rows, config.d_audio):
@@ -193,13 +192,9 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     if video.data.shape != (rows, config.d_video):
         raise ad.ShapeError(f"model_forward: video {video.data.shape} vs expected "
                             f"{(rows, config.d_video)}")
-    video_branch = ad._worker.submit(encoder_forward, video, params, "video", config, batch)
-    try:
-        enc_a = encoder_forward(audio, params, "audio", config, batch)
-    finally:
-        futures.wait((video_branch,))
-    fused = cross_modal_fuse(enc_a, video_branch.result(), params, config.num_heads,
-                             block_len=config.seq_len)
+    enc_v, enc_a = ad.fork_join(lambda: encoder_forward(video, params, "video", config, batch),
+                                lambda: encoder_forward(audio, params, "audio", config, batch))
+    fused = cross_modal_fuse(enc_a, enc_v, params, config.num_heads, block_len=config.seq_len)
     return ad.linear(fused, params["head.W"], params["head.b"])
 
 

@@ -367,7 +367,7 @@ def square_mean(x):
 
 
 # each builds a loss over branch_leaves(), recording the parts passed to
-# run1/run2 on those threads; two_branches splits, every other one must not
+# run1/run2 on those threads; none goes through fork_join
 def two_branches(l, run1, run2):
     ha = branch(l["xa"], l["wa"])
     hv = run1(lambda: branch(l["xv"], l["wv"]))
@@ -419,15 +419,27 @@ def assert_grads_equal(got, want):
         np.testing.assert_array_equal(g, want[name], err_msg=name)
 
 
+def one_thread(there, here):
+    return there(), here()
+
+
+def forked_branches(l, fork=ad.fork_join):
+    """A loss over branch_leaves() whose hv branch `fork` records as `there`.
+    The stand-in for hv lands below ha's ops on the tape, so backward hands
+    hv's branch to the worker before it runs ha's rules."""
+    hv, ha = fork(lambda: branch(l["xv"], l["wv"]), lambda: branch(l["xa"], l["wa"]))
+    return square_mean(ad.add(hv, ad.mul(hv, ha)))  # hv read by two calling-thread ops
+
+
 def test_two_thread_graph_runs_the_other_threads_rules_on_the_worker_bitwise(rule_runs):
-    want = leaf_grads(two_branches)
+    want = leaf_grads(lambda l, *_: forked_branches(l, one_thread))
     rule_runs.clear()
-    with recording_threads(1) as (run,):
-        got = leaf_grads(two_branches, run)
+    got = leaf_grads(lambda l, *_: forked_branches(l))
     assert_grads_equal(got, want)
-    me = threading.get_ident()
-    ran = {(recorded == me, running) for _, recorded, running in rule_runs}
-    assert ran == {(True, me), (False, worker_thread())}
+    me, worker = threading.get_ident(), worker_thread()
+    assert all(running == recorded for _, recorded, running in rule_runs)
+    assert sorted(op for op, recorded, _ in rule_runs if recorded == worker) == ["matmul", "relu"]
+    assert {recorded for _, recorded, _ in rule_runs} == {me, worker}
     assert len(rule_runs) == 8  # each op's rule ran once
 
 
@@ -467,11 +479,10 @@ def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(fa
         return ad._record("probe", x.data.copy(), (x,), rule)
 
     leaves = branch_leaves()
-    ha = probe(branch(leaves["xa"], leaves["wa"]), "calling")
-    with recording_threads(1) as (run,):
-        hv = run(lambda: probe(branch(leaves["xv"], leaves["wv"]), "worker"))
+    hv, ha = ad.fork_join(lambda: probe(branch(leaves["xv"], leaves["wv"]), "worker"),
+                          lambda: probe(branch(leaves["xa"], leaves["wa"]), "calling"))
     with pytest.raises(ProbeError) as exc:
-        ad.backward(square_mean(ad.add(ad.mul(ha, hv), hv)))
+        ad.backward(square_mean(ad.add(hv, ad.mul(hv, ha))))
     returned = time.perf_counter()
     assert exc.value is errors[failing[0]]  # the calling thread's, when both fail
     assert finished["calling"][0] == threading.get_ident()
@@ -481,20 +492,25 @@ def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(fa
 
 def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads():
     leaves = branch_leaves()
-    with recording_threads(1) as (run,):
-        loss = two_branches(leaves, run, on_this_thread)
-    ops = ad._build_tape(loss)
-    assert ad._split(list(ops)) is not None
-    their_op = next(node for node in ops if node._thread != threading.get_ident())
+    roots = []
+
+    def there():
+        roots.append(branch(leaves["xv"], leaves["wv"]))
+        return roots[0]
+
+    hv, ha = ad.fork_join(there, lambda: branch(leaves["xa"], leaves["wa"]))
+    loss = square_mean(ad.add(hv, ad.mul(hv, ha)))
+    own, theirs = ad._build_tape(loss), ad._build_tape(roots[0])
+    assert len(own) == 7 and len(theirs) == 2  # the stand-in hv is one of own
     ad.backward(loss)
-    for node in ops:
+    for node in own + theirs:
         assert node.grad is None
         assert node._parents == () and node._backward_rule is None
     for name in ("wa", "wv"):
         assert leaves[name].grad.any(), name
     with pytest.raises(RuntimeError, match="twice"):
         ad.backward(loss)
-    for node in (ops[-2], their_op):
+    for node in (own[-2], hv, theirs[0]):
         with pytest.raises(RuntimeError, match="freed"):
             ad.backward(ad.tmean(node))
 

@@ -600,6 +600,53 @@ def test_cli_report_value_no_sweep_can_produce_exits_2(tmp_path, capsys, row, me
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
+def test_cli_report_label_the_merged_header_cannot_hold_exits_2(tmp_path, capsys, stem):
+    path, other = tmp_path / f"{stem}.csv", tmp_path / "c.csv"
+    for p in (path, other):
+        _write_csv(p, ["clip_zero,video,1.0,0,0.1,0.2"])
+    assert main(["report", str(path), str(other), "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {str(path)!r}: model label {stem!r} contains "
+                                       "a comma or line break\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("columns", ["a_ccc_valence,zzz", "a_ccc_valence",
+                                     "a_ccc_valence,b_ccc_arousal"])
+def test_report_merged_header_must_pair_each_label(tmp_path, columns):
+    path = tmp_path / "merged.csv"
+    cells = ",".join(["0.1"] * len(columns.split(",")))
+    path.write_text(f"strategy,modality,probability,{columns}\nclip_zero,video,1.0,{cells}\n")
+    with pytest.raises(ReportError, match=f"^{re.escape(str(path))}: un"):
+        harness.read_sweep_results(path)
+
+
+@pytest.mark.parametrize("row", ["bogus,video,1.0,0,0.1,0.2", "clip_zero,face,1.0,0,0.1,0.2"])
+def test_cli_report_unknown_strategy_or_modality_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", row])
+    assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: unknown strategy or modality "
+                                       f"in row {row!r}\n")
+
+
+# every input is missing, so only a check made before any work can name the flag
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--config", "in.json", "--out", "nodir/data.avxd"], "--out"),
+    (["train", "--config", "in.json", "--out", "nodir/model.ckpt"], "--out"),
+    (["train", "--config", "in.json", "--out", "model.ckpt", "--log", "nodir/log.csv"], "--log"),
+    (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
+      "--modality", "video", "--out", "nodir/sweep.csv"], "--out"),
+    (["report", "s.csv", "--out", "nodir/merged.csv"], "--out"),
+])
+def test_cli_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                              argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag}: directory 'nodir' does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_accepts_the_bounds_of_each_range(tmp_path):
     path = tmp_path / "m.csv"
     _write_csv(path, ["clip_zero,video,0.0,0,-1.0,1.0", "clip_zero,video,1.0,0,1.0,-1.0"])

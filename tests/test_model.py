@@ -398,6 +398,41 @@ def test_video_encoder_rules_run_on_the_worker_and_the_rest_on_the_calling_threa
     assert {"audio", "video", "rest"} == set(recorded)  # rest: cross-modal, head, loss
 
 
+def test_a_training_step_meets_the_fork_join_precondition(monkeypatch):
+    # fork_join gives one-thread grads only when its `there` branch shares no
+    # grad-requiring input with the rest of the graph and nothing but its
+    # stand-in reads the branch's outputs; pinned here for its one caller
+    real_record = ad._record
+    recorded_on = {}  # id(op output) -> (op output, recording thread)
+
+    def record(*args, **kwargs):
+        out = real_record(*args, **kwargs)
+        recorded_on[id(out)] = (out, threading.get_ident())
+        return out
+
+    monkeypatch.setattr(ad, "_record", record)
+    params = init_params(DEEP, seed=30)
+    audio, video = small_inputs(30, DEEP)
+    gold = np.random.default_rng(30).uniform(-1, 1, (DEEP.seq_len, 2))
+    loss = ccc_loss(model_forward(audio, video, params, DEEP), gold)
+    name_of = {id(p): name for name, p in params.items()}
+    theirs = {key for key, (_, thread) in recorded_on.items() if thread != threading.get_ident()}
+    their_leaves = set()
+    for key in theirs:
+        for parent in recorded_on[key][0]._parents:
+            if parent.requires_grad and id(parent) not in theirs:
+                assert parent._backward_rule is None, "worker branch reads a caller's op"
+                their_leaves.add(name_of.get(id(parent)))
+    assert their_leaves == {name for name in params if name.startswith("video.")}
+    tape = ad._build_tape(loss)
+    assert sum(not node._parents for node in tape) == 1  # the stand-in
+    for node in tape:
+        assert id(node) not in theirs
+        for parent in node._parents:
+            assert id(parent) not in theirs
+            assert not name_of.get(id(parent), "").startswith("video."), name_of[id(parent)]
+
+
 def test_concurrent_trainers_each_get_the_grads_of_a_lone_call():
     inputs = [small_inputs(seed, DEEP) for seed in range(6)]
     want = [_training_step(init_params(DEEP, seed=27), x) for x in inputs]
