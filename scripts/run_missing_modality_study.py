@@ -41,6 +41,13 @@ def run_config(strategy: str, seed: int, epochs: int) -> dict:
     return cfg
 
 
+def trained_line(strategy: str, seconds: float, result: harness.TrainResult) -> str:
+    """The progress line for a trained model: its best epoch and that epoch's val CCC."""
+    best = result.log[result.best_epoch]
+    return (f"trained {strategy:12s} in {seconds:5.0f}s  best epoch {result.best_epoch}  "
+            f"val ccc {best.ccc_valence:+.3f}/{best.ccc_arousal:+.3f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory")
@@ -48,6 +55,11 @@ def main() -> int:
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--quick", action="store_true", help="small config for a fast smoke run")
     args = parser.parse_args()
+    # checked before anything is written, with the CLI's exit code and form
+    for flag, value, least in (("--seed", args.seed, 0), ("--epochs", args.epochs, 1)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -70,10 +82,7 @@ def main() -> int:
         result = harness.train_on_prepared(run_config_from_dict(cfg), prep)
         save_checkpoint(result.params, result.config, out / f"model_{strategy}.ckpt")
         harness.write_train_log(result.log, out / f"train_log_{strategy}.csv")
-        last = result.log[-1]
-        print(f"trained {strategy:12s} in {time.time()-t0:5.0f}s  "
-              f"best epoch {result.best_epoch}  "
-              f"val ccc {last.ccc_valence:+.3f}/{last.ccc_arousal:+.3f}", flush=True)
+        print(trained_line(strategy, time.time() - t0, result), flush=True)
         trained[strategy] = result
 
     for modality in ("video", "audio"):

@@ -6,6 +6,15 @@ weights), relu, mean reduction and a blocked multi-head attention kernel,
 plus a bias-corrected Adam step. Other modules record their own fused ops
 through `_record` (the CCC training loss in `metrics` is one op).
 
+The recorded graph keeps only what backward reads. Its edges join value-free
+nodes, and each op's backward rule closes over exactly the arrays it reads:
+matmul and mul keep each operand only when the other requires grad,
+layer_norm keeps its normalized input, inverse deviation and gain, relu its
+mask, attention its head-split inputs and softmax weights, and add, add_bias
+and mean keep nothing. Any other op output's array is freed as soon as the
+forward stops using it, so activation memory is set by what backward saves,
+not by everything the forward computed.
+
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
 were checked by their producers). `fork_join` records one branch of a graph
@@ -44,28 +53,53 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """Dense row-major float64 tensor; participates in the recorded graph.
+    """Dense row-major float64 tensor: a value plus, for an op output, its
+    node in the recorded graph.
 
     Leaf tensors created with requires_grad=True own a zeroed grad buffer that
     backward() accumulates into. Operation outputs never hold a grad: their
-    gradient is transient inside backward(), which also drops each output's
-    parents and backward rule once the rule has run, so forward activations
-    are freed as the pass goes.
+    gradient is transient inside backward(). The graph holds no tensor and no
+    value: an op output's `_node` holds its parents' nodes and its backward
+    rule, and the rule holds only the arrays it reads. So an op output's array
+    is freed as soon as the forward stops using it, unless a rule reads it;
+    backward() drops each rule once it has run, which frees those arrays too.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_rule", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_rule: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None = None
-        self._backward_done = False
+        self._node: _Node | None = None
 
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
+
+    @property
+    def _backward_rule(self) -> Callable[[np.ndarray], tuple] | None:
+        """The rule of the op that produced this tensor, None for a leaf or an
+        output recorded without a graph. Reassigning it (to time or corrupt the
+        rule) changes the rule that backward() runs."""
+        return None if self._node is None else self._node.rule
+
+    @_backward_rule.setter
+    def _backward_rule(self, rule: Callable[[np.ndarray], tuple]) -> None:
+        self._node.rule = rule
+
+
+class _Node:
+    """One recorded op: per operand, its node (an op output), the tensor
+    itself (a grad-requiring leaf) or None (no gradient), plus the op's
+    backward rule. backward() empties both once the rule has run, so a node
+    with no rule belongs to a freed graph."""
+
+    __slots__ = ("parents", "rule")
+
+    def __init__(self, parents: tuple, rule: Callable[[np.ndarray], tuple]):
+        self.parents = parents
+        self.rule = rule
 
 
 def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
@@ -76,39 +110,47 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out._backward_done = False
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward_rule = backward_rule
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward_rule = None
+    edges = tuple(p._node or (p if p.requires_grad else None) for p in parents)
+    out.requires_grad = any(e is not None for e in edges)
+    # without a grad-requiring operand the rule is dropped here, and with it
+    # every array it would have kept
+    out._node = _Node(edges, backward_rule) if out.requires_grad else None
     return out
 
 
-def _build_tape(root: Tensor) -> list[Tensor]:
-    """Op outputs of the grad-requiring subgraph below `root`, in topological order."""
-    tape: list[Tensor] = []
-    visited: set[int] = set()
+def _build_tape(root: _Node) -> list[_Node]:
+    """Nodes of the subgraph below `root`, in topological order.
+
+    A parentless node (a fork_join stand-in) goes directly below its lowest
+    consumer, not where the traversal first reaches it: its rule hands its
+    branch to the worker, which so starts as soon as the stand-in's gradient
+    is complete. Having no parents, it can move there without reordering any
+    other rule.
+    """
+    tape: list[_Node] = []
+    placed: set[int] = set()
     # iterative postorder: children are appended before their consumer
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in visited:
-            continue
         if expanded:
-            visited.add(id(node))
-            if node._backward_rule is not None:
-                tape.append(node)
-            elif node._backward_done:
-                raise RuntimeError("backward through a graph already freed by an earlier "
-                                   "backward: rerun the forward")
+            for parent in node.parents:
+                if type(parent) is _Node and not parent.parents and id(parent) not in placed:
+                    placed.add(id(parent))
+                    tape.append(parent)
+            tape.append(node)
             continue
+        if id(node) in placed:
+            continue
+        if node.rule is None:
+            raise RuntimeError("backward through a graph already freed by an earlier "
+                               "backward: rerun the forward")
+        if not node.parents and node is not root:
+            continue  # placed with its lowest consumer
+        placed.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+        for parent in node.parents:
+            if type(parent) is _Node and id(parent) not in placed:
                 stack.append((parent, False))
     return tape
 
@@ -146,21 +188,21 @@ def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[
         mine = here()
     finally:
         futures.wait((job,))
-    root = job.result()
-    if root._backward_rule is None:
-        return root, mine
-    # a parentless stand-in for root, built without _record so the graph
+    theirs = job.result()
+    root = theirs._node
+    if root is None:
+        return theirs, mine
+    # a parentless stand-in for theirs, built without _record so the graph
     # gains no op: its rule hands root's subgraph to the worker, building the
     # sub-tape first so that the job holds no more than the ops left to run
     handoff = Tensor.__new__(Tensor)
-    handoff.data, handoff.requires_grad, handoff.grad = root.data, True, None
-    handoff._parents, handoff._backward_done = (), False
-    handoff._backward_rule = lambda g: _worker.submit(
-        _run_rules, _build_tape(root), {id(root): g}, [])
+    handoff.data, handoff.requires_grad, handoff.grad = theirs.data, True, None
+    handoff._node = _Node((), lambda g: _worker.submit(
+        _run_rules, _build_tape(root), {id(root): g}, []))
     return handoff, mine
 
 
-def _run_rules(tape: list[Tensor], grads: dict[int, np.ndarray],
+def _run_rules(tape: list[_Node], grads: dict[int, np.ndarray],
                jobs: list[futures.Future]) -> None:
     """Run the rules of `tape`, last first, accumulating into `grads` and leaf
     grads; a fork_join stand-in's rule adds its worker job to `jobs`."""
@@ -168,16 +210,16 @@ def _run_rules(tape: list[Tensor], grads: dict[int, np.ndarray],
         # popping drops the tape's reference; every consumer of `node` ran
         # before it, so once its rule has run nothing in the graph holds it
         node = tape.pop()
-        parents, rule = node._parents, node._backward_rule
-        node._parents, node._backward_rule, node._backward_done = (), None, True
+        parents, rule = node.parents, node.rule
+        node.parents, node.rule = (), None
         pgs = rule(grads.pop(id(node)))
         if isinstance(pgs, futures.Future):
             jobs.append(pgs)
             continue
         for parent, pg in zip(parents, pgs):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
-            if parent._backward_rule is None:
+            if type(parent) is Tensor:  # a leaf
                 if parent.grad is None:
                     parent.grad = np.zeros_like(parent.data)
                 parent.grad += pg
@@ -202,15 +244,16 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward called twice on the same graph without reset")
-    tape = _build_tape(loss)
-    if not tape:
+    root = loss._node
+    if root is None:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
+    if root.rule is None:
+        raise RuntimeError("backward called twice on the same graph without reset")
+    tape = _build_tape(root)
     # transient grads for op outputs; leaves accumulate into their own buffers
     jobs: list[futures.Future] = []
     try:
-        _run_rules(tape, {id(loss): np.ones_like(loss.data)}, jobs)
+        _run_rules(tape, {id(root): np.ones_like(loss.data)}, jobs)
     finally:
         futures.wait(jobs)
     for job in jobs:
@@ -226,11 +269,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise _shape_err("matmul", a.data.shape, b.data.shape)
     out = a.data @ b.data
+    # each operand's gradient reads the other operand; a data input
+    # (requires_grad=False) gets no gradient product, so its partner is not kept
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def bw(g: np.ndarray):
-        # a data input (requires_grad=False) gets no gradient product
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (None if b_data is None else g @ b_data.T,
+                None if a_data is None else a_data.T @ g)
 
     return _record("matmul", out, (a, b), bw)
 
@@ -246,15 +292,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.mean(xhat * xhat, axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = xhat * gain.data
+    gain_data = gain.data
+    out = xhat * gain_data
     out += bias.data
 
     def bw(g: np.ndarray):
         dgain = np.sum(g * xhat, axis=0)
         dbias = np.sum(g, axis=0)
-        dx = g * gain.data
+        dx = g * gain_data
         dx -= np.mean(dx, axis=1, keepdims=True)
-        dx -= xhat * np.mean((g * gain.data) * xhat, axis=1, keepdims=True)
+        dx -= xhat * np.mean((g * gain_data) * xhat, axis=1, keepdims=True)
         dx *= inv
         return dx, dgain, dbias
 
@@ -291,9 +338,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product; either operand may be a scalar tensor."""
     if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
         raise _shape_err("mul", a.data.shape, b.data.shape)
+    # as in matmul, each operand's gradient reads the other operand
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    shape_a, shape_b = a.data.shape, b.data.shape
     return _record("mul", a.data * b.data, (a, b),
-                   lambda g: (_reduce_to(g * b.data, a.data.shape),
-                              _reduce_to(g * a.data, b.data.shape)))
+                   lambda g: (None if b_data is None else _reduce_to(g * b_data, shape_a),
+                              None if a_data is None else _reduce_to(g * a_data, shape_b)))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -339,16 +390,11 @@ def _block_dims(op: str, rows: int, d: int, num_heads: int, block_len: int) -> t
 
 
 # score buffers are processed in head chunks small enough to stay cache
-# resident: at B16 T100 H4 d_model 32, fwd+bwd took 12-14 ms with chunks of
-# 4 or 8, 14 with 16 and 16 with 64 (2-core box, 32 MiB mmap threshold).
-# The backward pass recomputes each chunk's softmax weights instead of
-# keeping all [B*H, T, T] of them from the forward. That is not the faster
-# kernel: keeping them (5 MB at those dims) took 10-11 ms fwd+bwd against
-# 13-14, with bitwise-equal grads, and a study-full one-step training call
-# 150-158 ms against 167-179. Recomputing keeps the inference forward free
-# of weights it would never read: keeping them there too slowed a batch-16
-# inference forward from 43-58 to 53-63 ms. Keeping them only when an input
-# requires grad would take both gains, and is not done yet.
+# resident. At B16 T100 H4 d_model 32 (2-core box, one BLAS thread), fwd+bwd
+# took 10-13.5 ms with chunks of 4 or 8 over 8 alternating rounds, 14 with
+# 16 and 13-19 with 64; recomputing the weights in the backward instead of
+# keeping them took 16-21 ms at every size. The inference forward, which
+# keeps no weights, took 4.6-6.5 ms with 4 or 8.
 _ATTN_CHUNK = 8
 
 
@@ -368,6 +414,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
     softmax(q_h k_h^T / sqrt(d_h), over the key axis) @ v_h, with the usual
     max subtraction inside the softmax; head outputs are re-concatenated.
     Chunking over heads never changes results (blocks are independent).
+
+    When any of q, k, v requires grad, the forward keeps each chunk's softmax
+    weights ([B*H, T, T] in all) and the backward rule reads them, with its
+    head-split q3, k3, v3, not q, k, v (with one head, k3 and v3 are views of
+    k and v, so keeping them costs no more). A forward
+    with no grad-requiring input keeps no weights, so inference holds one
+    chunk's at a time.
     """
     if not (q.data.shape == k.data.shape == v.data.shape) or q.data.ndim != 2:
         raise _shape_err("attention", q.data.shape, k.data.shape, v.data.shape)
@@ -379,9 +432,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
     k3 = _split_heads(k.data, b, t, num_heads, dh)
     v3 = _split_heads(v.data, b, t, num_heads, dh)
     out3 = np.empty_like(v3)
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    weights = []  # each chunk's softmax weights, kept for the backward rule
     for lo in range(0, bh, _ATTN_CHUNK):
         hi = min(lo + _ATTN_CHUNK, bh)
-        out3[lo:hi] = _chunk_softmax(q3[lo:hi], k3[lo:hi]) @ v3[lo:hi]
+        w = _chunk_softmax(q3[lo:hi], k3[lo:hi])
+        out3[lo:hi] = w @ v3[lo:hi]
+        if keep:
+            weights.append(w)
     out = _merge_heads(out3, b, t, num_heads, dh)
 
     def bw(g: np.ndarray):
@@ -389,9 +447,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
         dq3 = np.empty_like(q3)
         dk3 = np.empty_like(k3)
         dv3 = np.empty_like(v3)
-        for lo in range(0, bh, _ATTN_CHUNK):
+        for lo, w in zip(range(0, bh, _ATTN_CHUNK), weights):
             hi = min(lo + _ATTN_CHUNK, bh)
-            w = _chunk_softmax(q3[lo:hi], k3[lo:hi])  # bitwise equal to forward
             gc = g3[lo:hi]
             dv3[lo:hi] = w.transpose(0, 2, 1) @ gc
             ds = gc @ v3[lo:hi].transpose(0, 2, 1)

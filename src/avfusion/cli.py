@@ -109,6 +109,9 @@ def cmd_eval_sweep(args) -> int:
             raise ConfigError(f"bad --probs list {args.probs!r}") from exc
         if not probs:
             raise ConfigError("--probs is empty")
+        for i, p in enumerate(probs):
+            if p in probs[:i]:  # a second row for one point would count it twice in `report`
+                raise ConfigError(f"--probs repeats the value {p:g}")
     else:
         probs = list(harness.DEFAULT_GRIDS[args.strategy])
     rows = harness.run_sweep(params, config, prep.val_windows,

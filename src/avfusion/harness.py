@@ -476,12 +476,14 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
 
     Accepts both the single-model sweep format, whose rows for one key (one per
     seed) are averaged, and the merged multi-model format, which has one row
-    per key, so merged output can be re-merged unchanged. A strategy or
-    modality `augment` does not know, a probability outside [0, 1] or a CCC
-    outside [-1, 1] (NaN and infinities included) is no sweep's output and
-    raises ReportError naming the row. So does a model label (a single-model
-    CSV's file stem) holding a comma or line break, which the merged format
-    cannot write.
+    per key, so merged output can be re-merged unchanged. A second row for one
+    (strategy, modality, p, seed) in the single-model format, or for one key
+    in the merged one, would count that point twice and raises ReportError
+    naming it. A strategy or modality `augment` does not know, a probability
+    outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
+    no sweep's output and raises ReportError naming the row. So does a model
+    label (a single-model CSV's file stem) holding a comma or line break,
+    which the merged format cannot write.
     """
     lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
@@ -517,9 +519,10 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         key = (row[0], row[1], _parse_float(row[2], str(path)))
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
-        if not single and key in seen:
-            raise ReportError(f"{path}: duplicate row for {key}")
-        seen.add(key)
+        row_key = key + (_parse_float(row[3], str(path)),) if single else key
+        if row_key in seen:
+            raise ReportError(f"{path}: duplicate row for {row_key}")
+        seen.add(row_key)
         for j, label in enumerate(labels):
             pair = (_parse_float(row[first + 2 * j], str(path)),
                     _parse_float(row[first + 2 * j + 1], str(path)))

@@ -2,6 +2,7 @@ import contextlib
 import threading
 import time
 import warnings
+import weakref
 from concurrent import futures
 
 import numpy as np
@@ -253,14 +254,17 @@ def test_backward_twice_raises():
 def test_backward_frees_the_graph_and_keeps_only_leaf_grads():
     x = ad.Tensor(rand((3, 4), 33), requires_grad=True)
     w = ad.Tensor(rand((4, 2), 34), requires_grad=True)
-    h = ad.relu(ad.matmul(x, w))
-    loss = ad.tmean(ad.mul(h, h))
-    ops = ad._build_tape(loss)
-    assert len(ops) == 4
+    m = ad.matmul(x, w)
+    h = ad.relu(m)
+    sq = ad.mul(h, h)
+    loss = ad.tmean(sq)
+    outputs = (m, h, sq, loss)
+    ops = ad._build_tape(loss._node)
+    assert [id(node) for node in ops] == [id(t._node) for t in outputs]
     ad.backward(loss)
-    for node in ops:
-        assert node.grad is None
-        assert node._parents == () and node._backward_rule is None
+    for t in outputs:
+        assert t.grad is None
+        assert t._node.parents == () and t._backward_rule is None
     assert x.grad is not None and w.grad is not None
     with pytest.raises(RuntimeError, match="twice"):
         ad.backward(loss)
@@ -285,17 +289,75 @@ def test_tape_is_topological_and_each_op_visited_once():
     y = ad.mul(x, x)
     z = ad.add(y, y)  # diamond: y used twice
     loss = ad.tmean(z)
-    tape = ad._build_tape(loss)
-    assert tape[-1] is loss
+    tape = ad._build_tape(loss._node)
+    assert tape[-1] is loss._node
     seen: set[int] = {id(x)}
     for node in tape:
-        for parent in node._parents:
-            if parent.requires_grad:
+        for parent in node.parents:
+            if parent is not None:  # None: an operand that needs no gradient
                 assert id(parent) in seen
         assert id(node) not in seen  # visited exactly once
         seen.add(id(node))
     assert ad.backward(loss) is None
     np.testing.assert_allclose(x.grad, 4.0 * x.data / 4, atol=1e-12)
+
+
+def _graph_over_every_op_kind():
+    """A loss whose graph outlives every other reference to its op outputs."""
+    x = ad.Tensor(rand((30, 4), 70))
+    w1, wq, wk, wv, w2 = (ad.Tensor(rand((4, 4), seed), requires_grad=True)
+                          for seed in range(71, 76))
+    b1, gain, bias = (ad.Tensor(rand(4, seed), requires_grad=True) for seed in (76, 77, 78))
+    alpha = ad.Tensor(0.5, requires_grad=True)
+    r = ad.relu(ad.linear(x, w1, b1))
+    a = ad.attention(ad.matmul(r, wq), ad.matmul(r, wk), ad.matmul(r, wv), 2, block_len=3)
+    n = ad.layer_norm(ad.add(ad.mul(a, alpha), r), gain, bias)
+    return ad.tmean(ad.matmul(n, w2))
+
+
+def test_the_graph_keeps_only_the_op_outputs_a_rule_reads(monkeypatch):
+    outputs = []  # (op, weak reference to its output array), in recording order
+    real = ad._record
+
+    def record(op, out, *args, **kwargs):
+        outputs.append((op, weakref.ref(out)))
+        return real(op, out, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_record", record)
+    loss = _graph_over_every_op_kind()
+    # read by a rule: relu's output by the q/k/v matmuls, attention's by mul
+    # (alpha requires grad), layer_norm's by the last matmul; the loss is held
+    assert [(op, ref() is not None) for op, ref in outputs] == [
+        ("matmul", False), ("add_bias", False), ("relu", True),
+        ("matmul", False), ("matmul", False), ("matmul", False), ("attention", True),
+        ("mul", False), ("add", False), ("layer_norm", True), ("matmul", False), ("mean", True)]
+    ad.backward(loss)
+    assert [op for op, ref in outputs if ref() is not None] == ["mean"]
+
+
+def test_attention_keeps_softmax_weights_only_when_an_input_requires_grad(monkeypatch):
+    made, live = [], []  # weak references to each chunk's weights; live ones at each call
+    real = ad._chunk_softmax
+
+    def chunk_softmax(q3c, k3c):
+        live.append(sum(ref() is not None for ref in made))
+        w = real(q3c, k3c)
+        made.append(weakref.ref(w))
+        return w
+
+    monkeypatch.setattr(ad, "_chunk_softmax", chunk_softmax)
+    q, k = (ad.Tensor(rand((30, 4), seed)) for seed in (80, 81))  # 20 heads: 3 chunks
+    v = ad.Tensor(rand((30, 4), 82))
+    ad.attention(q, k, v, 2, block_len=3)
+    assert len(made) == 3 and max(live) <= 1  # one chunk's weights at a time
+    assert all(ref() is None for ref in made)
+    made.clear()
+    v.requires_grad = True
+    loss = ad.tmean(ad.mul(ad.attention(q, k, v, 2, block_len=3), ad.Tensor(rand((30, 4), 83))))
+    assert len(made) == 3 and all(ref() is not None for ref in made)
+    ad.backward(loss)
+    assert len(made) == 3  # the rule read the kept weights, computing none again
+    assert all(ref() is None for ref in made)
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
@@ -456,6 +518,33 @@ def test_graph_that_cannot_split_exactly_runs_on_the_calling_thread_bitwise(rule
     assert {running for _, _, running in rule_runs} == {threading.get_ident()}
 
 
+def test_fork_join_branch_goes_to_the_worker_before_the_callers_own_rules_run(rule_runs,
+                                                                              monkeypatch):
+    def loss_of(l, fork=ad.fork_join):
+        hv, ha = fork(lambda: branch(l["xv"], l["wv"]), lambda: branch(l["xa"], l["wa"]))
+        # a postorder traversal reaches hv's stand-in before any of ha's ops
+        return ad.tmean(ad.add(ad.mul(ha, hv), hv))
+
+    want = leaf_grads(lambda l, *_: loss_of(l, one_thread))
+    leaves = branch_leaves()
+    loss = loss_of(leaves)
+    worker, me = ad._worker, threading.get_ident()
+
+    class LoggedWorker:
+        def submit(self, fn, *args):
+            rule_runs.append(("submit", me, threading.get_ident()))
+            return worker.submit(fn, *args)
+
+    rule_runs.clear()
+    monkeypatch.setattr(ad, "_worker", LoggedWorker())
+    ad.backward(loss)
+    assert_grads_equal({name: leaf.grad for name, leaf in leaves.items() if leaf.requires_grad},
+                       want)
+    # the stand-in's rule submits hv's branch as soon as its last consumer ran
+    assert [op for op, recorded, _ in rule_runs if recorded == me] == [
+        "mean", "add", "mul", "submit", "relu", "matmul"]
+
+
 class ProbeError(Exception):
     pass
 
@@ -490,9 +579,17 @@ def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(fa
     assert all(at <= returned for _, at in finished.values())
 
 
-def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads():
+def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads(monkeypatch):
     leaves = branch_leaves()
     roots = []
+    outputs = []  # every op output, recorded on either thread
+    real = ad._record
+
+    def record(*args, **kwargs):
+        outputs.append(real(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(ad, "_record", record)
 
     def there():
         roots.append(branch(leaves["xv"], leaves["wv"]))
@@ -500,19 +597,22 @@ def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads():
 
     hv, ha = ad.fork_join(there, lambda: branch(leaves["xa"], leaves["wa"]))
     loss = square_mean(ad.add(hv, ad.mul(hv, ha)))
-    own, theirs = ad._build_tape(loss), ad._build_tape(roots[0])
+    own, theirs = ad._build_tape(loss._node), ad._build_tape(roots[0]._node)
     assert len(own) == 7 and len(theirs) == 2  # the stand-in hv is one of own
+    assert ({id(node) for node in own + theirs}
+            == {id(t._node) for t in outputs} | {id(hv._node)})
     ad.backward(loss)
-    for node in own + theirs:
-        assert node.grad is None
-        assert node._parents == () and node._backward_rule is None
+    for t in outputs + [hv]:
+        assert t.grad is None
+        assert t._node.parents == () and t._backward_rule is None
     for name in ("wa", "wv"):
         assert leaves[name].grad.any(), name
     with pytest.raises(RuntimeError, match="twice"):
         ad.backward(loss)
-    for node in (own[-2], hv, theirs[0]):
+    # a calling-thread op output, the stand-in, a worker op output
+    for t in (outputs[-2], hv, roots[0]):
         with pytest.raises(RuntimeError, match="freed"):
-            ad.backward(ad.tmean(node))
+            ad.backward(ad.tmean(t))
 
 
 # --- adam ---

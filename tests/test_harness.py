@@ -281,7 +281,7 @@ def test_evaluate_windows_records_no_graph_on_grad_params(tiny_prep, monkeypatch
     monkeypatch.setattr(ad, "_record", recording)
     summary = harness.evaluate_windows(params, config, tiny_prep.val_windows)
     monkeypatch.undo()
-    assert outputs and not any(out.requires_grad or out._parents for out in outputs)
+    assert outputs and not any(out.requires_grad or out._node for out in outputs)
     assert all(p.requires_grad and not p.grad.any() for p in params.values())
     snapshot = harness.evaluate_windows(clone_params(params), config, tiny_prep.val_windows)
     assert (summary.ccc_valence, summary.ccc_arousal) == (snapshot.ccc_valence,
@@ -432,6 +432,15 @@ def test_report_merged_duplicate_key_is_error(tmp_path):
         merge_reports([merged])
 
 
+def test_report_single_model_repeated_row_is_error(tmp_path):
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4",
+                      "clip_zero,video,1.0,0,0.1,0.2"])
+    want = rf"^{re.escape(str(path))}: duplicate row for \('clip_zero', 'video', 1\.0, 0\.0\)$"
+    with pytest.raises(ReportError, match=want):
+        merge_reports([path])
+
+
 def test_report_merged_duplicate_label_is_error(tmp_path):
     merged = tmp_path / "merged.csv"
     merged.write_text("strategy,modality,probability,m_ccc_valence,m_ccc_arousal,"
@@ -489,6 +498,18 @@ def test_cli_eval_sweep_and_report(cli_artifacts):
     header = merged.read_text().splitlines()[0].split(",")
     assert header == ["strategy", "modality", "probability",
                       "s1_ccc_valence", "s1_ccc_arousal", "s2_ccc_valence", "s2_ccc_arousal"]
+
+
+@pytest.mark.parametrize("probs,value", [("0,0", "0"), ("1.0,0.5,0.50", "0.5")])
+def test_cli_eval_sweep_repeated_probability_exits_2(cli_artifacts, tmp_path, capsys, probs,
+                                                     value):
+    _, _, data_path, ckpt_path = cli_artifacts
+    out = tmp_path / "s.csv"
+    assert main(["eval-sweep", "--model", str(ckpt_path), "--data", str(data_path),
+                 "--strategy", "clip_zero", "--modality", "video", "--probs", probs,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --probs repeats the value {value}\n"
+    assert not out.exists()
 
 
 def test_cli_invalid_json_exits_2(tmp_path, capsys):

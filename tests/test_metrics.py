@@ -107,8 +107,8 @@ def test_ccc_loss_equals_one_minus_eval_mean_ccc_exactly(n, seed):
 def test_ccc_loss_is_one_recorded_op():
     rng = np.random.default_rng(9)
     pred = ad.Tensor(rng.normal(size=(10, 2)), requires_grad=True)
-    tape = ad._build_tape(ccc_loss(pred, rng.normal(size=(10, 2))))
-    assert len(tape) == 1 and tape[0]._parents == (pred,)
+    tape = ad._build_tape(ccc_loss(pred, rng.normal(size=(10, 2)))._node)
+    assert len(tape) == 1 and tape[0].parents == (pred,)
 
 
 def test_ccc_loss_zero_denominator_raises():

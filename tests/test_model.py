@@ -403,11 +403,11 @@ def test_a_training_step_meets_the_fork_join_precondition(monkeypatch):
     # grad-requiring input with the rest of the graph and nothing but its
     # stand-in reads the branch's outputs; pinned here for its one caller
     real_record = ad._record
-    recorded_on = {}  # id(op output) -> (op output, recording thread)
+    recorded_on = {}  # id(op node) -> (op node, recording thread)
 
     def record(*args, **kwargs):
         out = real_record(*args, **kwargs)
-        recorded_on[id(out)] = (out, threading.get_ident())
+        recorded_on[id(out._node)] = (out._node, threading.get_ident())
         return out
 
     monkeypatch.setattr(ad, "_record", record)
@@ -419,16 +419,16 @@ def test_a_training_step_meets_the_fork_join_precondition(monkeypatch):
     theirs = {key for key, (_, thread) in recorded_on.items() if thread != threading.get_ident()}
     their_leaves = set()
     for key in theirs:
-        for parent in recorded_on[key][0]._parents:
-            if parent.requires_grad and id(parent) not in theirs:
-                assert parent._backward_rule is None, "worker branch reads a caller's op"
+        for parent in recorded_on[key][0].parents:
+            if parent is not None and id(parent) not in theirs:
+                assert isinstance(parent, ad.Tensor), "worker branch reads a caller's op"
                 their_leaves.add(name_of.get(id(parent)))
     assert their_leaves == {name for name in params if name.startswith("video.")}
-    tape = ad._build_tape(loss)
-    assert sum(not node._parents for node in tape) == 1  # the stand-in
+    tape = ad._build_tape(loss._node)
+    assert sum(not node.parents for node in tape) == 1  # the stand-in
     for node in tape:
         assert id(node) not in theirs
-        for parent in node._parents:
+        for parent in node.parents:
             assert id(parent) not in theirs
             assert not name_of.get(id(parent), "").startswith("video."), name_of[id(parent)]
 

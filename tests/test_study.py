@@ -14,11 +14,14 @@ ready to paste over `QUICK_DIGESTS`.
 """
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
 
@@ -55,6 +58,28 @@ def quick_study_digests(out: Path) -> dict[str, str]:
 
 def test_quick_study_output_is_byte_identical(tmp_path):
     assert quick_study_digests(tmp_path / "quick") == QUICK_DIGESTS
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+])
+def test_study_rejects_a_bad_seed_or_epoch_count_before_writing(tmp_path, argv, message):
+    out = tmp_path / "study"
+    done = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (2, f"error: {message}\n", "")
+    assert not out.exists()
+
+
+def test_progress_line_reports_the_best_epochs_val_ccc():
+    spec = importlib.util.spec_from_file_location("study", SCRIPT)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    epoch_log = study.harness.EpochLog
+    log = [epoch_log(0, 0.9, 0.5, 0.25), epoch_log(1, 0.8, 0.125, 0.0625)]
+    line = study.trained_line("none", 3.0, study.harness.TrainResult({}, None, log, 0))
+    assert line == "trained none         in     3s  best epoch 0  val ccc +0.500/+0.250"
 
 
 if __name__ == "__main__":
