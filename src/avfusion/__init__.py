@@ -3,14 +3,6 @@ transformer and missing-modality training augmentations."""
 
 import os
 
-# one BLAS thread per Python thread: model_forward already runs the audio and
-# video encoders on two threads, and backward runs their rules on the same two,
-# which is where a second core is used. OPENBLAS_NUM_THREADS>1 on top of them
-# oversubscribes a two-core box, and on the many small matmuls of the workload
-# OpenBLAS's spin-waiting workers fight the branches for cores (set the env var
-# yourself to override)
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB.
@@ -50,7 +42,26 @@ def _pin_malloc_thresholds() -> None:
         mallopt(m_trim_threshold, 64 << 20)
 
 
+def _one_blas_thread() -> None:
+    """One BLAS thread per Python thread unless the user set OPENBLAS_NUM_THREADS, as
+    OpenBLAS's spin-waiting workers fight the model's two branch threads for cores.
+    The variable counts only before OpenBLAS loads; a loaded one is set by its own call."""
+    if os.environ.setdefault("OPENBLAS_NUM_THREADS", "1") != "1":
+        return  # the user's own count
+    try:
+        import ctypes
+        import glob
+
+        import numpy
+
+        libs = os.path.join(numpy.__path__[0], os.pardir, "numpy.libs", "libscipy_openblas*")
+        ctypes.CDLL(glob.glob(libs)[0]).scipy_openblas_set_num_threads64_(1)
+    except (AttributeError, ImportError, IndexError, OSError):
+        pass  # no bundled scipy-openblas, or one without the call
+
+
 _pin_malloc_thresholds()
+_one_blas_thread()
 
 from .augment import AblationSpec
 from .data import ClipRecord, Dataset, NormStats, SyntheticConfig

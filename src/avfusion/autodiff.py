@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -180,9 +181,11 @@ def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[
     result is bitwise that of a one-thread pass, provided the rest of the
     graph reaches the subgraph below there's tensor only through that tensor
     and shares no grad-requiring leaf with it (the model's two encoder
-    branches meet only at the cross-modal fusion). `there` must not call
-    fork_join itself.
+    branches meet only at the cross-modal fusion). Called from `there`, it
+    raises RuntimeError: the one worker would wait on itself.
     """
+    if threading.current_thread().name.startswith("avfusion-worker"):
+        raise RuntimeError("fork_join called on its own worker thread, which would wait on itself")
     job = _worker.submit(there)
     try:
         mine = here()
@@ -281,16 +284,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", out, (a, b), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization with biased variance: (x-mu)/sqrt(var+eps)*gain + bias."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be > 0")
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization with biased variance: (x-mu)/sqrt(var+1e-5)*gain + bias."""
     if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
         raise _shape_err("layer_norm", x.data.shape, gain.data.shape, bias.data.shape)
     mu = np.mean(x.data, axis=1, keepdims=True)
     xhat = x.data - mu
     var = np.mean(xhat * xhat, axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     gain_data = gain.data
     out = xhat * gain_data
@@ -381,14 +382,6 @@ def _merge_heads(x: np.ndarray, b: int, t: int, h: int, dh: int) -> np.ndarray:
     return x.reshape(b, h, t, dh).transpose(0, 2, 1, 3).reshape(b * t, h * dh)
 
 
-def _block_dims(op: str, rows: int, d: int, num_heads: int, block_len: int) -> tuple[int, int]:
-    if rows % block_len != 0:
-        raise _shape_err(f"{op}: rows {rows} not divisible by block_len {block_len}", (rows, d))
-    if d % num_heads != 0:
-        raise _shape_err(f"{op}: width {d} not divisible by num_heads {num_heads}", (rows, d))
-    return rows // block_len, d // num_heads
-
-
 # score buffers are processed in head chunks small enough to stay cache
 # resident. At B16 T100 H4 d_model 32 (2-core box, one BLAS thread), fwd+bwd
 # took 10-13.5 ms with chunks of 4 or 8 over 8 alternating rounds, 14 with
@@ -425,7 +418,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
     if not (q.data.shape == k.data.shape == v.data.shape) or q.data.ndim != 2:
         raise _shape_err("attention", q.data.shape, k.data.shape, v.data.shape)
     rows, d = q.data.shape
-    b, dh = _block_dims("attention", rows, d, num_heads, block_len)
+    if rows % block_len != 0:
+        raise ShapeError(f"attention: rows {rows} not divisible by block_len {block_len}")
+    if d % num_heads != 0:
+        raise ShapeError(f"attention: width {d} not divisible by num_heads {num_heads}")
+    b, dh = rows // block_len, d // num_heads
     bh, t = b * num_heads, block_len
     c = 1.0 / np.sqrt(dh)
     q3 = _split_heads(q.data, b, t, num_heads, dh) * c
@@ -484,22 +481,19 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params])
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray], state: AdamState,
-              lr: float) -> None:
-    """Bias-corrected Adam update, in place on `params` and `state`."""
+def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update from each param's grad, in place on `params` and `state`."""
     if lr <= 0:
         raise ValueError("adam_step lr must be > 0")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise _shape_err("adam_step", (len(params),), (len(grads),), (len(state.m),))
-    for p, g, m in zip(params, grads, state.m):
-        if p.data.shape != g.shape or p.data.shape != m.shape:
-            raise _shape_err("adam_step", p.data.shape, g.shape, m.shape)
+    if len(params) != len(state.m) or any(p.data.shape != m.shape
+                                          for p, m in zip(params, state.m)):
+        raise _shape_err("adam_step", [p.data.shape for p in params], [m.shape for m in state.m])
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, m, v in zip(params, state.m, state.v):
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += (1.0 - ADAM_BETA1) * p.grad
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
+        v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -53,15 +53,15 @@ def expect_version(f: BinaryIO, version: int) -> None:
         raise VersionMismatchError(f"version mismatch: expected {version}, got {got}")
 
 
-def read_u8(f: BinaryIO, what: str = "u8") -> int:
+def read_u8(f: BinaryIO, what: str) -> int:
     return struct.unpack("<B", read_exact(f, 1, what))[0]
 
 
-def read_u16(f: BinaryIO, what: str = "u16") -> int:
+def read_u16(f: BinaryIO, what: str) -> int:
     return struct.unpack("<H", read_exact(f, 2, what))[0]
 
 
-def read_u32(f: BinaryIO, what: str = "u32") -> int:
+def read_u32(f: BinaryIO, what: str) -> int:
     return struct.unpack("<I", read_exact(f, 4, what))[0]
 
 

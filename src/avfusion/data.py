@@ -227,8 +227,7 @@ def sync_clip(clip: ClipRecord) -> SyncedClip:
 # windowing
 
 
-def window_clips(clips: list[SyncedClip], seq_len: int = 100,
-                 evaluation: bool = False) -> list[Window]:
+def window_clips(clips: list[SyncedClip], seq_len: int, evaluation: bool = False) -> list[Window]:
     """Cut synced clips into fixed-length model inputs.
 
     Training: non-overlapping windows, partial tail dropped. Evaluation:
@@ -244,20 +243,18 @@ def window_clips(clips: list[SyncedClip], seq_len: int = 100,
         if t < seq_len:
             log.warning("clip %d shorter than seq_len (%d < %d), skipped", clip.id, t, seq_len)
             continue
-        covered = 0
-        start = 0
+        start = 0  # after the loop: the frames the full windows cover
         while start + seq_len <= t:
             windows.append(Window(clip.id, start,
                                   clip.audio[start:start + seq_len],
                                   clip.video[start:start + seq_len],
                                   clip.labels[start:start + seq_len]))
-            covered = start + seq_len
             start += seq_len
-        if evaluation and covered < t:
+        if evaluation and start < t:
             tail = t - seq_len
             windows.append(Window(clip.id, tail,
                                   clip.audio[tail:t], clip.video[tail:t], clip.labels[tail:t],
-                                  score_from=covered - tail))
+                                  score_from=start - tail))
     return windows
 
 

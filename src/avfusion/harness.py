@@ -5,9 +5,9 @@ read from sweep CSVs).
 
 Config files have one schema: the dataclasses themselves. Each section's
 keys and defaults are its dataclass's fields (TrainParams, SplitFractions,
-AblationSpec, SyntheticConfig; ModelConfig for the `model` dict), its range
-checks are that dataclass's `__post_init__`, and one JSON reader serves
-`load_run_config` and `load_synthetic_config`.
+AblationSpec, SyntheticConfig; ModelConfig's architecture fields for the
+`model` dict), its range checks are that dataclass's `__post_init__`, and
+one JSON reader serves `load_run_config` and `load_synthetic_config`.
 
 Everything here is deterministic given the config seeds: shuffling, ablation
 masks, and sweep corruption all draw from derived RNG streams keyed by stable
@@ -53,7 +53,7 @@ class ConfigError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    """Data feature dims disagree with the model config or checkpoint."""
+    """Data feature dims disagree with a checkpoint's."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +153,17 @@ def run_config_from_dict(obj: dict) -> RunConfig:
     SyntheticConfig or a `{"path": ...}` object). The dataclass's fields are
     the section's keys, their defaults are the section's defaults, and its
     `__post_init__` checks the values. The `model` section stays a dict of
-    ModelConfig field names; `model_config_for` completes and checks it once
-    the data's dims are known.
+    ModelConfig's architecture fields; `model_config_for` completes it from
+    the data and `train.seq_len` and checks it.
     """
     _check_keys("run", obj, {"model", "train", "ablation", "data", "splits"})
+    model = obj.get("model", {})
+    for key, source in (("d_audio", "the data"), ("d_video", "the data"),
+                        ("seq_len", "train.seq_len")):
+        if isinstance(model, dict) and key in model:
+            raise ConfigError(f"model.{key} cannot be set: its value comes from {source}")
     run = RunConfig(train=_section(TrainParams, "train", obj.get("train", {})),
-                    model=_section_values(ModelConfig, "model", obj.get("model", {})),
+                    model=_section_values(ModelConfig, "model", model),
                     splits=_section(SplitFractions, "splits", obj.get("splits", {})))
     if "ablation" in obj:
         run.ablation = _section(AblationSpec, "ablation", obj["ablation"])
@@ -243,14 +248,9 @@ def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> Prep
 
 
 def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
-    spec = dict(run.model)
-    for dim, have in (("d_audio", prep.d_audio), ("d_video", prep.d_video),
-                      ("seq_len", run.train.seq_len)):
-        if dim in spec and spec[dim] != have:
-            raise DimensionMismatchError(f"config {dim}={spec[dim]} but data provides {have}")
-        spec[dim] = have
     try:
-        return ModelConfig(**spec)
+        return ModelConfig(d_audio=prep.d_audio, d_video=prep.d_video,
+                           seq_len=run.train.seq_len, **run.model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -288,8 +288,7 @@ def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window]) -
         chunk = windows[at:at + _EVAL_CHUNK]
         audio = np.concatenate([w.audio for w in chunk])
         video = np.concatenate([w.video for w in chunk])
-        out = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config,
-                            batch=len(chunk)).data
+        out = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config).data
         for i, w in enumerate(chunk):
             preds.append(out[i * t + w.score_from:(i + 1) * t])
             golds.append(w.labels[w.score_from:])
@@ -330,11 +329,10 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
                 videos.append(video)
                 golds.append(w.labels)
             pred = model_forward(ad.Tensor(np.concatenate(audios)),
-                                 ad.Tensor(np.concatenate(videos)),
-                                 params, config, batch=len(batch))
+                                 ad.Tensor(np.concatenate(videos)), params, config)
             loss = ccc_loss(pred, np.concatenate(golds))
             ad.backward(loss)
-            ad.adam_step(plist, [p.grad for p in plist], state, run.train.lr)
+            ad.adam_step(plist, state, run.train.lr)
             losses.append(float(loss.data))
         summary = evaluate_windows(params, config, prep.val_windows)
         log.append(EpochLog(epoch, float(np.mean(losses)),
@@ -400,20 +398,22 @@ def write_sweep_csv(rows: list[SweepResult], path) -> None:
 # ---------------------------------------------------------------------------
 # gradient self-check
 
+FD_STEP, GRADCHECK_TOLERANCE = 1e-5, 1e-4  # finite_diff_grad's step; gradcheck's max rel err
 
-def finite_diff_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
+
+def finite_diff_grad(f, arr: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f() w.r.t. arr; f must re-read arr on every call."""
     grad = np.zeros_like(arr)
     flat = arr.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + FD_STEP
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - FD_STEP
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * FD_STEP)
     return grad
 
 
@@ -427,10 +427,10 @@ class GradCheckReport:
     passed: bool
     max_rel_err: float
     worst_param: str
-    tolerance: float = 1e-4
+    tolerance: float = GRADCHECK_TOLERANCE
 
 
-def gradcheck(seed: int, h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
+def gradcheck(seed: int) -> GradCheckReport:
     """Compare reverse-mode gradients of the full CCC training loss against
     central finite differences for every parameter of a small model."""
     config = ModelConfig(d_audio=5, d_video=4, num_layers=1, d_model=8,
@@ -450,10 +450,10 @@ def gradcheck(seed: int, h: float = 1e-5, tolerance: float = 1e-4) -> GradCheckR
 
     worst_err, worst_name = 0.0, ""
     for name, p in params.items():
-        err = rel_err(p.grad, finite_diff_grad(loss_value, p.data, h))
+        err = rel_err(p.grad, finite_diff_grad(loss_value, p.data))
         if err > worst_err:
             worst_err, worst_name = float(err), name
-    return GradCheckReport(worst_err < tolerance, worst_err, worst_name, tolerance)
+    return GradCheckReport(worst_err < GRADCHECK_TOLERANCE, worst_err, worst_name)
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,14 @@ def clone_params(params: ParameterSet) -> ParameterSet:
 
 def multi_head_attention(q_src: ad.Tensor, kv_src: ad.Tensor,
                          wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor, wo: ad.Tensor,
-                         num_heads: int, block_len: int | None = None) -> ad.Tensor:
+                         num_heads: int, block_len: int) -> ad.Tensor:
     """Scaled dot-product attention: softmax(Q_h K_h^T / sqrt(d_h)) V_h per head.
 
     Q comes from q_src, K and V from kv_src; the softmax reduces over the
-    key axis; head outputs are concatenated and output-projected. Inputs may
-    stack several independent sequences of length block_len (attention never
-    crosses block boundaries); by default one sequence spans all rows.
+    key axis; head outputs are concatenated and output-projected. Inputs
+    stack independent sequences of block_len rows each (attention never
+    crosses block boundaries).
     """
-    if q_src.data.shape != kv_src.data.shape or q_src.data.ndim != 2:
-        raise ad.ShapeError(f"attention: q_src {q_src.data.shape} vs kv_src {kv_src.data.shape}")
-    block_len = q_src.data.shape[0] if block_len is None else block_len
     q, k, v = ad.matmul(q_src, wq), ad.matmul(kv_src, wk), ad.matmul(kv_src, wv)
     return ad.matmul(ad.attention(q, k, v, num_heads, block_len), wo)
 
@@ -135,20 +132,20 @@ def _branch_attention(params: ParameterSet, prefix: str):
 
 
 def encoder_forward(x: ad.Tensor, params: ParameterSet, branch: str,
-                    config: ModelConfig, batch: int = 1) -> ad.Tensor:
+                    config: ModelConfig) -> ad.Tensor:
     """Input projection + positional encoding, then post-norm self-attention blocks.
 
-    `x` may stack `batch` independent sequences along its rows; self-attention
-    stays within each sequence.
+    `x` stacks independent sequences of `config.seq_len` rows each;
+    self-attention stays within each sequence.
     """
-    seq_len = x.data.shape[0] // batch
+    batch = x.data.shape[0] // config.seq_len
     h = ad.linear(x, params[f"{branch}.in_proj.W"], params[f"{branch}.in_proj.b"])
-    pe = positional_encoding(seq_len, config.d_model)
+    pe = positional_encoding(config.seq_len, config.d_model)
     h = ad.add(h, ad.Tensor(pe if batch == 1 else np.tile(pe, (batch, 1))))
     for i in range(config.num_layers):
         pre = f"{branch}.layers.{i}"
         attn = multi_head_attention(h, h, *_branch_attention(params, f"{pre}.attn"),
-                                    config.num_heads, block_len=seq_len)
+                                    config.num_heads, config.seq_len)
         h = ad.layer_norm(ad.add(h, attn), params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
         ff = ad.linear(ad.relu(ad.linear(h, params[f"{pre}.ffn.W1"], params[f"{pre}.ffn.b1"])),
                        params[f"{pre}.ffn.W2"], params[f"{pre}.ffn.b2"])
@@ -157,23 +154,23 @@ def encoder_forward(x: ad.Tensor, params: ParameterSet, branch: str,
 
 
 def cross_modal_fuse(enc_a: ad.Tensor, enc_v: ad.Tensor, params: ParameterSet,
-                     num_heads: int, block_len: int | None = None) -> ad.Tensor:
+                     config: ModelConfig) -> ad.Tensor:
     """Attend each branch to the other, add back with alpha/beta, sum the branches."""
     x_a = multi_head_attention(enc_a, enc_v, *_branch_attention(params, "cross.audio.attn"),
-                               num_heads, block_len=block_len)
+                               config.num_heads, config.seq_len)
     x_v = multi_head_attention(enc_v, enc_a, *_branch_attention(params, "cross.video.attn"),
-                               num_heads, block_len=block_len)
+                               config.num_heads, config.seq_len)
     aud = ad.add(enc_a, ad.mul(x_a, params["fusion.alpha"]))
     vid = ad.add(enc_v, ad.mul(x_v, params["fusion.beta"]))
     return ad.add(aud, vid)
 
 
 def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
-                  config: ModelConfig, batch: int = 1) -> ad.Tensor:
-    """Per-frame (valence, arousal) predictions, shape [batch*seq_len x 2].
+                  config: ModelConfig) -> ad.Tensor:
+    """Per-frame (valence, arousal) predictions, one row per input row.
 
-    With batch > 1 the inputs stack that many seq_len-frame sequences row-wise
-    and are processed independently (attention never crosses sequences).
+    The inputs stack seq_len-frame sequences row-wise, each processed alone
+    (attention never crosses sequences); 0 rows or a partial sequence raise ShapeError.
 
     `autodiff.fork_join` runs the video encoder on the autodiff worker
     thread while the calling thread runs the audio encoder; the branches
@@ -185,16 +182,16 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     worker thread too, while the calling thread runs the audio encoder's,
     with bitwise the grads of a one-thread pass.
     """
-    rows = batch * config.seq_len
-    if audio.data.shape != (rows, config.d_audio):
-        raise ad.ShapeError(f"model_forward: audio {audio.data.shape} vs expected "
-                            f"{(rows, config.d_audio)}")
-    if video.data.shape != (rows, config.d_video):
-        raise ad.ShapeError(f"model_forward: video {video.data.shape} vs expected "
-                            f"{(rows, config.d_video)}")
-    enc_v, enc_a = ad.fork_join(lambda: encoder_forward(video, params, "video", config, batch),
-                                lambda: encoder_forward(audio, params, "audio", config, batch))
-    fused = cross_modal_fuse(enc_a, enc_v, params, config.num_heads, block_len=config.seq_len)
+    rows = audio.data.shape[0] if audio.data.ndim else 0
+    if rows == 0 or rows % config.seq_len:
+        raise ad.ShapeError(f"model_forward: audio has {rows} rows, not a positive multiple "
+                            f"of seq_len {config.seq_len}")
+    for name, x, d in (("audio", audio, config.d_audio), ("video", video, config.d_video)):
+        if x.data.shape != (rows, d):
+            raise ad.ShapeError(f"model_forward: {name} {x.data.shape} vs expected {(rows, d)}")
+    enc_v, enc_a = ad.fork_join(lambda: encoder_forward(video, params, "video", config),
+                                lambda: encoder_forward(audio, params, "audio", config))
+    fused = cross_modal_fuse(enc_a, enc_v, params, config)
     return ad.linear(fused, params["head.W"], params["head.b"])
 
 

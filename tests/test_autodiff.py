@@ -1,9 +1,13 @@
 import contextlib
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
 import weakref
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,9 +129,9 @@ def test_layer_norm_constant_row_is_zero():
 
 
 def test_layer_norm_two_point_row():
-    # row [1,3]: mu=2, sigma=1, so the normalized row tends to [-1, 1] as eps -> 0
-    out = ad.layer_norm(ad.Tensor([[1.0, 3.0]]), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)), eps=1e-12)
-    np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-9)
+    # row [1,3]: mu=2, var=1, so the normalized row is [-1, 1] / sqrt(1 + eps)
+    out = ad.layer_norm(ad.Tensor([[1.0, 3.0]]), ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
+    np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1.0 + 1e-5), rtol=0, atol=1e-15)
 
 
 def test_layer_norm_zero_gain_gives_bias():
@@ -141,8 +145,8 @@ def test_layer_norm_grad_vs_finite_differences():
     gain = ad.Tensor(rand(6, 9), requires_grad=True)
     bias = ad.Tensor(rand(6, 10), requires_grad=True)
     w = rand((4, 6), 11)
-    eps = 1e-5
-    ad.backward(ad.tmean(ad.mul(ad.layer_norm(x, gain, bias, eps), ad.Tensor(w))))
+    eps = 1e-5  # layer_norm's
+    ad.backward(ad.tmean(ad.mul(ad.layer_norm(x, gain, bias), ad.Tensor(w))))
 
     def f():
         mu = np.mean(x.data, axis=1, keepdims=True)
@@ -579,6 +583,42 @@ def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(fa
     assert all(at <= returned for _, at in finished.values())
 
 
+# a nested fork_join on a thread joined with a timeout, in a child process:
+# a worker waiting on itself could not be stopped, and would hold up the exit
+NESTED_FORK_JOIN = """
+import os, threading
+import numpy as np
+from avfusion import autodiff as ad
+
+leaf = lambda: ad.Tensor(np.ones(2))
+outcome = ["still waiting after 10 s"]
+
+def nested():
+    try:
+        ad.fork_join(lambda: ad.fork_join(leaf, leaf)[0], leaf)
+        outcome[0] = "returned"
+    except RuntimeError as exc:
+        outcome[0] = str(exc)
+
+caller = threading.Thread(target=nested, daemon=True)
+caller.start()
+caller.join(timeout=10)
+print(outcome[0], flush=True)
+if not caller.is_alive():
+    print(ad.fork_join(leaf, leaf)[0].data.sum(), flush=True)  # the worker is free again
+os._exit(0)
+"""
+
+
+def test_fork_join_called_from_its_worker_raises_instead_of_waiting_on_itself():
+    env = {"PATH": os.environ.get("PATH", ""),
+           "PYTHONPATH": str(Path(ad.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", NESTED_FORK_JOIN], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "fork_join called on its own worker thread, which would wait on itself", "2.0"]
+
+
 def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads(monkeypatch):
     leaves = branch_leaves()
     roots = []
@@ -622,7 +662,7 @@ def test_adam_zero_grad_leaves_params_unchanged():
     p = ad.Tensor(rand((2, 3), 33), requires_grad=True)
     before = p.data.copy()
     state = ad.AdamState.for_params([p])
-    ad.adam_step([p], [np.zeros((2, 3))], state, lr=0.1)
+    ad.adam_step([p], state, lr=0.1)
     np.testing.assert_array_equal(p.data, before)
     assert state.t == 1
 
@@ -630,25 +670,30 @@ def test_adam_zero_grad_leaves_params_unchanged():
 def test_adam_first_step_bias_correction():
     # w=0, g=1, lr=0.1: corrected m-hat = v-hat = 1, so w moves to ~ -0.1
     p = ad.Tensor(0.0, requires_grad=True)
+    p.grad[...] = 1.0
     state = ad.AdamState.for_params([p])
-    ad.adam_step([p], [np.asarray(1.0)], state, lr=0.1)
+    ad.adam_step([p], state, lr=0.1)
     assert abs(float(p.data) - (-0.1)) < 1e-6
 
 
 def test_adam_is_deterministic():
     def run():
         p = ad.Tensor(rand((3, 3), 34), requires_grad=True)
+        p.grad[...] = rand((3, 3), 35)
         state = ad.AdamState.for_params([p])
-        g = rand((3, 3), 35)
         for _ in range(5):
-            ad.adam_step([p], [g], state, lr=0.01)
+            ad.adam_step([p], state, lr=0.01)
         return p.data
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_shape_mismatch_raises():
+    # params that are not the ones their AdamState was made for
     p = ad.Tensor(rand((2, 2), 36), requires_grad=True)
+    q = ad.Tensor(rand((3, 3), 37), requires_grad=True)
     state = ad.AdamState.for_params([p])
-    with pytest.raises(ad.ShapeError):
-        ad.adam_step([p], [np.zeros((3, 3))], state, lr=0.1)
+    for params in ([q], [p, q]):
+        with pytest.raises(ad.ShapeError, match="^adam_step: incompatible shapes"):
+            ad.adam_step(params, state, lr=0.1)
+    assert state.t == 0 and not state.m[0].any()

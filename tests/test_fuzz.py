@@ -86,10 +86,12 @@ def test_damaged_file_loads_or_raises_its_format_error(originals, name, data):
                 assert 0.0 <= p <= 1.0 and abs(v) <= 1.0 and abs(a) <= 1.0
 
 
-# every key a run config may hold, by section
+# every key a run config may hold, by section; the model section holds only
+# the architecture keys, as the data and train.seq_len fix the others
 CONFIG_KEYS = {section: [f.name for f in fields(cls)] for section, cls in (
-    ("train", harness.TrainParams), ("model", ModelConfig), ("ablation", AblationSpec),
+    ("train", harness.TrainParams), ("ablation", AblationSpec),
     ("splits", harness.SplitFractions), ("data", SyntheticConfig))}
+CONFIG_KEYS["model"] = ["num_layers", "d_model", "num_heads", "ffn_mult"]
 CONFIG_KEYS["data"].append("path")
 VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"},
                 "splits": {}, "data": {"n_clips": 2, "clip_seconds": 1.0}}

@@ -758,6 +758,26 @@ def test_cli_train_param_out_of_range_exits_2(cli_artifacts, tmp_path, capsys, k
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key,value,source", [
+    ("seq_len", 50, "train.seq_len"),
+    ("d_audio", 12, "the data"),
+    ("d_video", 6, "the data"),  # even the data's own width
+])
+def test_cli_train_with_a_model_key_the_inputs_fix_exits_2(cli_artifacts, tmp_path, capsys,
+                                                          key, value, source):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["model"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: model.{key} cannot be set: "
+                                       f"its value comes from {source}\n")
+    assert not out.exists()
+
+
 def test_cli_train_with_a_model_too_large_to_allocate_exits_2(cli_artifacts, tmp_path, capsys):
     _, _, data_path, _ = cli_artifacts
     config = json.loads(json.dumps(TINY_RUN))

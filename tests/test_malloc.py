@@ -33,11 +33,10 @@ gold = rng.uniform(-1.0, 1.0, (rows, 2))
 def step():
     for p in plist:
         p.zero_grad()
-    pred = model_forward(ad.Tensor(audio.copy()), ad.Tensor(video.copy()), params, config,
-                         batch=4)
+    pred = model_forward(ad.Tensor(audio.copy()), ad.Tensor(video.copy()), params, config)
     loss = ccc_loss(pred, gold)
     ad.backward(loss)
-    ad.adam_step(plist, [p.grad for p in plist], state, 1e-4)
+    ad.adam_step(plist, state, 1e-4)
 
 for _ in range(3):
     step()

@@ -90,14 +90,15 @@ def test_attention_output_shape():
     out = multi_head_attention(enc, enc,
                                params["audio.layers.0.attn.Wq"], params["audio.layers.0.attn.Wk"],
                                params["audio.layers.0.attn.Wv"], params["audio.layers.0.attn.Wo"],
-                               SMALL.num_heads)
+                               SMALL.num_heads, SMALL.seq_len)
     assert out.data.shape == (SMALL.seq_len, SMALL.d_model)
 
 
 def test_attention_single_key_weight_is_one():
     wq, wk, wv, wo = _mha_weights()
     kv = ad.Tensor([[0.3, -0.7]])
-    out = multi_head_attention(ad.Tensor([[1.0, 2.0]]), kv, wq, wk, wv, wo, num_heads=1)
+    out = multi_head_attention(ad.Tensor([[1.0, 2.0]]), kv, wq, wk, wv, wo, num_heads=1,
+                               block_len=1)
     np.testing.assert_array_equal(out.data, kv.data @ wv.data @ wo.data)
 
 
@@ -107,7 +108,7 @@ def test_attention_hand_computed_oracle():
     wq, wk, wv, wo = _mha_weights()
     out = multi_head_attention(ad.Tensor([[1.0, 0.0], [-1.0, 1.0]]),
                                ad.Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                               wq, wk, wv, wo, num_heads=1)
+                               wq, wk, wv, wo, num_heads=1, block_len=2)
     expected = np.array([[12.143665588278637, 13.143665588278637],
                          [7.641907605386745, 8.641907605386745]])
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
@@ -151,7 +152,7 @@ def test_fuse_zero_scalars_reduce_to_sum():
     rng = np.random.default_rng(6)
     enc_a = ad.Tensor(rng.normal(size=(6, 8)))
     enc_v = ad.Tensor(rng.normal(size=(6, 8)))
-    fused = cross_modal_fuse(enc_a, enc_v, params, SMALL.num_heads)
+    fused = cross_modal_fuse(enc_a, enc_v, params, SMALL)
     np.testing.assert_array_equal(fused.data, enc_a.data + enc_v.data)
 
 
@@ -159,7 +160,7 @@ def test_fuse_output_shape():
     params = init_params(SMALL, seed=7)
     rng = np.random.default_rng(7)
     fused = cross_modal_fuse(ad.Tensor(rng.normal(size=(6, 8))),
-                             ad.Tensor(rng.normal(size=(6, 8))), params, 2)
+                             ad.Tensor(rng.normal(size=(6, 8))), params, SMALL)
     assert fused.data.shape == (6, 8)
 
 
@@ -171,8 +172,8 @@ def test_fuse_symmetric_under_tied_weights():
     rng = np.random.default_rng(8)
     enc_a = ad.Tensor(rng.normal(size=(6, 8)))
     enc_v = ad.Tensor(rng.normal(size=(6, 8)))
-    ab = cross_modal_fuse(enc_a, enc_v, params, SMALL.num_heads)
-    ba = cross_modal_fuse(enc_v, enc_a, params, SMALL.num_heads)
+    ab = cross_modal_fuse(enc_a, enc_v, params, SMALL)
+    ba = cross_modal_fuse(enc_v, enc_a, params, SMALL)
     np.testing.assert_allclose(ab.data, ba.data, atol=1e-12)
 
 
@@ -190,8 +191,21 @@ def test_model_forward_paper_shape():
 
 def test_model_forward_wrong_seq_len():
     params = init_params(SMALL, seed=1)
-    with pytest.raises(ad.ShapeError):
-        model_forward(ad.Tensor(np.zeros((5, 5))), ad.Tensor(np.zeros((5, 4))), params, SMALL)
+    for rows in (0, 5, 9):  # the batch is rows // seq_len, so rows must be a positive multiple
+        with pytest.raises(ad.ShapeError, match=f"^model_forward: audio has {rows} rows, not "
+                                                "a positive multiple of seq_len 6$"):
+            model_forward(ad.Tensor(np.zeros((rows, 5))), ad.Tensor(np.zeros((rows, 4))),
+                          params, SMALL)
+
+
+def test_model_forward_runs_each_stacked_sequence_alone():
+    params = init_params(SMALL, seed=1)
+    inputs = [small_inputs(seed) for seed in (1, 2)]
+    stacked = model_forward(ad.Tensor(np.concatenate([a.data for a, _ in inputs])),
+                            ad.Tensor(np.concatenate([v.data for _, v in inputs])),
+                            params, SMALL)
+    alone = np.concatenate([model_forward(a, v, params, SMALL).data for a, v in inputs])
+    np.testing.assert_allclose(stacked.data, alone, rtol=0, atol=1e-12)
 
 
 def test_model_is_pure_function_of_inputs():
@@ -247,14 +261,14 @@ def test_model_forward_and_grads_equal_serial_branches_bitwise():
     gold = rng.uniform(-1, 1, (batch * DEEP.seq_len, 2))
 
     def serial(params):
-        enc_a = encoder_forward(ad.Tensor(audio), params, "audio", DEEP, batch)
-        enc_v = encoder_forward(ad.Tensor(video), params, "video", DEEP, batch)
-        fused = cross_modal_fuse(enc_a, enc_v, params, DEEP.num_heads, block_len=DEEP.seq_len)
+        enc_a = encoder_forward(ad.Tensor(audio), params, "audio", DEEP)
+        enc_v = encoder_forward(ad.Tensor(video), params, "video", DEEP)
+        fused = cross_modal_fuse(enc_a, enc_v, params, DEEP)
         return ad.linear(fused, params["head.W"], params["head.b"])
 
     runs = []
-    for forward in (lambda ps: model_forward(ad.Tensor(audio), ad.Tensor(video), ps, DEEP,
-                                             batch=batch), serial):
+    for forward in (lambda ps: model_forward(ad.Tensor(audio), ad.Tensor(video), ps, DEEP),
+                    serial):
         params = init_params(DEEP, seed=20)
         pred = forward(params)
         ad.backward(ccc_loss(pred, gold))
@@ -358,11 +372,11 @@ def test_forward_in_a_forked_child_of_a_process_that_used_the_worker():
 # --- concurrent backward ---
 
 
-def _training_step(params, inputs, config=DEEP, batch=1):
+def _training_step(params, inputs):
     """Leaf grads of one forward + CCC loss + backward on `params`."""
     audio, video = inputs
-    gold = np.random.default_rng(26).uniform(-1, 1, (batch * config.seq_len, 2))
-    ad.backward(ccc_loss(model_forward(audio, video, params, config, batch=batch), gold))
+    gold = np.random.default_rng(26).uniform(-1, 1, (audio.data.shape[0], 2))
+    ad.backward(ccc_loss(model_forward(audio, video, params, DEEP), gold))
     return {name: p.grad for name, p in params.items()}
 
 
