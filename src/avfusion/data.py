@@ -115,14 +115,16 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     """Clips driven by a smooth 2-d latent; labels are the latent itself.
 
     The latent follows z_t = clamp(rho*z_{t-1} + sqrt(1-rho^2)*eps_t, -1, 1)
-    at 30 fps. Video features observe tanh(z) through a fixed random matrix
-    with noise sigma_video; audio observes the linearly-interpolated latent
-    at 100 fps with noise sigma_audio. Defaults keep sigma_video below
-    sigma_audio so video is the richer predictor.
+    at 30 fps, stepped for all clips at once. Video features observe tanh(z)
+    through a fixed random matrix with noise sigma_video; audio observes the
+    linearly-interpolated latent at 100 fps with noise sigma_audio. Defaults
+    keep sigma_video below sigma_audio so video is the richer predictor.
 
-    Each stream of all clips is allocated up front, so a dataset too large
-    for this machine raises MemoryError before any clip is generated; each
-    clip's arrays are views of one row of these.
+    The matrices come from the dataset stream; clip i draws its innovations,
+    then video noise, then audio noise from `derive_rng(seed, i)`, so its
+    arrays do not depend on n_clips. Each stream of all clips is allocated up
+    front, so a dataset too large for this machine raises MemoryError before
+    any clip is generated; each clip's arrays are views of one row of these.
     """
     t_v = int(round(config.clip_seconds * FPS_VIDEO))
     t_a = int(round(config.clip_seconds * FPS_AUDIO))
@@ -135,25 +137,24 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     audio_map = mix_rng.standard_normal((2, config.d_audio_lld))
     video_map = mix_rng.standard_normal((2, config.d_video))
 
+    rngs = [derive_rng(config.seed, clip_id) for clip_id in range(config.n_clips)]
+    for rng, eps in zip(rngs, labels):
+        rng.standard_normal(out=eps)
+    labels *= np.sqrt(1.0 - config.rho * config.rho)
+    prev = 0.0
+    for t in range(t_v):
+        prev = np.clip(labels[:, t] + config.rho * prev, -1.0, 1.0, out=labels[:, t])
+    # audio frames sample the latent at their own timestamps
+    pos = np.arange(t_a) * (FPS_VIDEO / FPS_AUDIO)
+    i0 = np.minimum(pos.astype(int), t_v - 1)
+    i1 = np.minimum(i0 + 1, t_v - 1)
+    frac = (pos - i0)[:, None]
     clips = []
-    innovation = np.sqrt(1.0 - config.rho * config.rho)
-    for clip_id, (z, video, audio) in enumerate(zip(labels, videos, audios)):
-        rng = derive_rng(config.seed, clip_id)
-        eps = rng.standard_normal((t_v, 2))
-        prev = np.zeros(2)
-        for t in range(t_v):
-            prev = np.clip(config.rho * prev + innovation * eps[t], -1.0, 1.0)
-            z[t] = prev
-        video[...] = np.tanh(z) @ video_map
-        video += config.sigma_video * rng.standard_normal((t_v, config.d_video))
-        # audio frames sample the latent at their own timestamps
-        pos = np.arange(t_a) * (FPS_VIDEO / FPS_AUDIO)
-        i0 = np.minimum(pos.astype(int), t_v - 1)
-        i1 = np.minimum(i0 + 1, t_v - 1)
-        frac = (pos - i0)[:, None]
-        z_audio = (1.0 - frac) * z[i0] + frac * z[i1]
-        audio[...] = np.tanh(z_audio) @ audio_map
-        audio += config.sigma_audio * rng.standard_normal((t_a, config.d_audio_lld))
+    for clip_id, (rng, z, video, audio) in enumerate(zip(rngs, labels, videos, audios)):
+        np.multiply(rng.standard_normal(out=video), config.sigma_video, out=video)
+        video += np.tanh(z) @ video_map
+        np.multiply(rng.standard_normal(out=audio), config.sigma_audio, out=audio)
+        audio += np.tanh((1.0 - frac) * z[i0] + frac * z[i1]) @ audio_map
         clips.append(ClipRecord(id=clip_id, audio=audio, video=video, labels=z))
     return Dataset(clips)
 

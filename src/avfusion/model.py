@@ -131,14 +131,21 @@ def _branch_attention(params: ParameterSet, prefix: str):
             params[f"{prefix}.Wv"], params[f"{prefix}.Wo"])
 
 
+def _stacked_rows(x: ad.Tensor, where: str, seq_len: int) -> int:
+    n = x.data.shape[0] if x.data.ndim else 0
+    if n == 0 or n % seq_len:
+        raise ad.ShapeError(f"{where} has {n} rows, not a positive multiple of seq_len {seq_len}")
+    return n
+
+
 def encoder_forward(x: ad.Tensor, params: ParameterSet, branch: str,
                     config: ModelConfig) -> ad.Tensor:
     """Input projection + positional encoding, then post-norm self-attention blocks.
 
     `x` stacks independent sequences of `config.seq_len` rows each;
-    self-attention stays within each sequence.
+    self-attention stays within each sequence. 0 rows or a partial sequence raise ShapeError.
     """
-    batch = x.data.shape[0] // config.seq_len
+    batch = _stacked_rows(x, f"encoder_forward: {branch}", config.seq_len) // config.seq_len
     h = ad.linear(x, params[f"{branch}.in_proj.W"], params[f"{branch}.in_proj.b"])
     pe = positional_encoding(config.seq_len, config.d_model)
     h = ad.add(h, ad.Tensor(pe if batch == 1 else np.tile(pe, (batch, 1))))
@@ -182,10 +189,7 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     worker thread too, while the calling thread runs the audio encoder's,
     with bitwise the grads of a one-thread pass.
     """
-    rows = audio.data.shape[0] if audio.data.ndim else 0
-    if rows == 0 or rows % config.seq_len:
-        raise ad.ShapeError(f"model_forward: audio has {rows} rows, not a positive multiple "
-                            f"of seq_len {config.seq_len}")
+    rows = _stacked_rows(audio, "model_forward: audio", config.seq_len)
     for name, x, d in (("audio", audio, config.d_audio), ("video", video, config.d_video)):
         if x.data.shape != (rows, d):
             raise ad.ShapeError(f"model_forward: {name} {x.data.shape} vs expected {(rows, d)}")

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,19 @@ def test_generate_deterministic():
         np.testing.assert_array_equal(ca.audio, cb.audio)
         np.testing.assert_array_equal(ca.video, cb.video)
         np.testing.assert_array_equal(ca.labels, cb.labels)
+
+
+def test_clip_streams_do_not_depend_on_the_clip_count():
+    cfg = SyntheticConfig(n_clips=7, clip_seconds=3.7, d_audio_lld=3, d_video=5, rho=0.5, seed=4)
+    full = generate_synthetic(cfg)
+    for k in (1, 3):
+        part = generate_synthetic(replace(cfg, n_clips=k))
+        assert len(part) == k
+        for ca, cb in zip(part.clips, full.clips):
+            assert ca.id == cb.id
+            np.testing.assert_array_equal(ca.labels, cb.labels, strict=True)
+            np.testing.assert_array_equal(ca.video, cb.video, strict=True)
+            np.testing.assert_array_equal(ca.audio, cb.audio, strict=True)
 
 
 def test_generate_shapes_and_label_range():

@@ -198,6 +198,15 @@ def test_model_forward_wrong_seq_len():
                           params, SMALL)
 
 
+@pytest.mark.parametrize("rows", [0, 5, 9])
+def test_encoder_forward_wrong_seq_len(rows):
+    params = init_params(SMALL, seed=1)
+    for branch, d in (("audio", SMALL.d_audio), ("video", SMALL.d_video)):
+        with pytest.raises(ad.ShapeError, match=f"^encoder_forward: {branch} has {rows} rows, "
+                                                "not a positive multiple of seq_len 6$"):
+            encoder_forward(ad.Tensor(np.zeros((rows, d))), params, branch, SMALL)
+
+
 def test_model_forward_runs_each_stacked_sequence_alone():
     params = init_params(SMALL, seed=1)
     inputs = [small_inputs(seed) for seed in (1, 2)]
