@@ -169,7 +169,7 @@ def resample_audio(seq: np.ndarray) -> np.ndarray:
         raise ValueError("resample_audio: empty input")
     t_out = int(seq.shape[0] * 3 // 10)
     idx = np.floor(np.arange(t_out) * (10.0 / 3.0) + 0.5).astype(int)
-    return seq[np.minimum(idx, seq.shape[0] - 1)].copy()
+    return seq[np.minimum(idx, seq.shape[0] - 1)]
 
 
 def stack_context(seq: np.ndarray) -> np.ndarray:
@@ -193,23 +193,59 @@ def stack_context(seq: np.ndarray) -> np.ndarray:
 
 
 def fit_norm(clips: list[ClipRecord]) -> NormStats:
-    """Per-dimension z-normalization statistics, fitted on the training split only."""
+    """Per-dimension z-normalization statistics, fitted on the training split only.
+
+    For float64 streams the results are bitwise `np.mean` and `np.std` over
+    axis 0 of the concatenated clips, but memory is one clip's: numpy sums
+    that axis of a C-contiguous (N, d > 1) array one row at a time, so each of
+    two passes (sums, then squared deviations from the mean as in `np.var`)
+    carries a running sum through one buffer of [sum; next clip's rows]. A
+    width-1 stream is concatenated instead. Differing widths raise ValueError.
+    """
     if not clips:
         raise ValueError("fit_norm: empty training split")
-    audio = np.concatenate([c.audio for c in clips], axis=0)
-    video = np.concatenate([c.video for c in clips], axis=0)
-    return NormStats(
-        audio_mean=np.mean(audio, axis=0),
-        audio_std=np.maximum(np.std(audio, axis=0), 1e-8),
-        video_mean=np.mean(video, axis=0),
-        video_std=np.maximum(np.std(video, axis=0), 1e-8),
-    )
+    audio_mean, audio_std = _mean_std(clips, "audio")
+    video_mean, video_std = _mean_std(clips, "video")
+    return NormStats(audio_mean=audio_mean, audio_std=np.maximum(audio_std, 1e-8),
+                     video_mean=video_mean, video_std=np.maximum(video_std, 1e-8))
+
+
+def _mean_std(clips: list[ClipRecord], stream: str) -> tuple[np.ndarray, np.ndarray]:
+    seqs = [getattr(c, stream) for c in clips]
+    width = seqs[0].shape[1]
+    for clip, seq in zip(clips, seqs):
+        if seq.shape[1] != width:  # copying into the buffer would broadcast a width-1 clip
+            raise ValueError(f"fit_norm: clip {clip.id} has {stream} width {seq.shape[1]}, "
+                             f"clip {clips[0].id} has {width}")
+    if width == 1:  # numpy sums (N, 1) pairwise as a vector, not row by row; N floats are cheap
+        seq = np.concatenate(seqs, axis=0)
+        return np.mean(seq, axis=0), np.std(seq, axis=0)
+    seqs = [seq for seq in seqs if len(seq)]
+    n = sum(len(seq) for seq in seqs)
+    buf = np.empty((1 + max(len(seq) for seq in seqs), width))
+
+    def column_sum(fill) -> np.ndarray:
+        total = None
+        for seq in seqs:
+            k = int(total is not None)
+            fill(buf[k:k + len(seq)], seq)
+            if k:
+                buf[0] = total
+            total = buf[:k + len(seq)].sum(axis=0)
+        return total
+
+    def squared_deviation(out, seq):
+        np.square(np.subtract(seq, mean, out=out), out=out)
+
+    mean = column_sum(np.copyto) / n
+    return mean, np.sqrt(column_sum(squared_deviation) / n)
 
 
 def apply_norm(clip: ClipRecord, stats: NormStats) -> ClipRecord:
-    return replace(clip,
-                   audio=(clip.audio - stats.audio_mean) / stats.audio_std,
-                   video=(clip.video - stats.video_mean) / stats.video_std)
+    audio, video = clip.audio - stats.audio_mean, clip.video - stats.video_mean
+    audio /= stats.audio_std
+    video /= stats.video_std
+    return replace(clip, audio=audio, video=video)
 
 
 def sync_clip(clip: ClipRecord) -> SyncedClip:
@@ -302,6 +338,10 @@ def load_dataset(path) -> Dataset:
                 if fps != want:
                     raise binio.FileFormatError(
                         f"unsupported rate: clip {clip_id} has {name}={fps}, expected {want}")
+            for stream, frames in (("video", t_v), ("audio", t_a)):
+                if frames == 0:
+                    raise binio.FileFormatError(
+                        f"invariant violation: clip {clip_id} has an empty {stream} stream")
             if clips:  # every clip feeds one model, so all share clip 0's feature widths
                 first = clips[0]
                 for name, width, want in (("D_v", d_v, first.video.shape[1]),

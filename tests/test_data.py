@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,7 @@ def test_resample_330_to_99():
     expected = np.floor(np.arange(99) * 10.0 / 3.0 + 0.5)
     np.testing.assert_array_equal(out[:, 0], expected)
     assert list(out[:4, 0]) == [0, 3, 7, 10]
+    assert not np.shares_memory(out, seq)
 
 
 def test_resample_100_to_30():
@@ -178,6 +180,74 @@ def test_fit_norm_statistics_on_train_split():
     audio = np.concatenate([c.audio for c in normed], axis=0)
     assert np.max(np.abs(np.mean(audio, axis=0))) < 1e-9
     assert np.max(np.abs(np.std(audio, axis=0) - 1.0)) < 1e-9
+
+
+def _numpy_norm(clips):
+    """fit_norm's statistics the way numpy computes them on the concatenated split."""
+    stats = []
+    for stream in ("audio", "video"):
+        rows = np.concatenate([getattr(c, stream) for c in clips], axis=0)
+        stats += [np.mean(rows, axis=0), np.maximum(np.std(rows, axis=0), 1e-8)]
+    return stats
+
+
+def _ragged_clips():
+    rng = np.random.default_rng(8)
+    clips = []
+    for clip_id in range(30):
+        t_a, t_v = (0, 0) if clip_id == 0 else rng.integers(1, 400, size=2)
+        clips.append(ClipRecord(id=clip_id, audio=rng.normal(3.0, 50.0, size=(t_a, 16)),
+                                video=rng.normal(-2.0, 0.1, size=(t_v, 24)),
+                                labels=np.zeros((t_v, 2))))
+    return clips
+
+
+def _round_trip(tmp_path):
+    save_dataset(generate_synthetic(SyntheticConfig(n_clips=6, clip_seconds=4.0, seed=2)),
+                 tmp_path / "d.avxd")
+    return load_dataset(tmp_path / "d.avxd").clips
+
+
+@pytest.mark.parametrize("make_clips", [
+    lambda _: generate_synthetic(SyntheticConfig(n_clips=200, clip_seconds=30.0,
+                                                 seed=7)).clips[:160],  # study-full train split
+    lambda _: generate_synthetic(SyntheticConfig(n_clips=3, clip_seconds=4.0, d_audio_lld=65,
+                                                 d_video=4096, seed=1)).clips,
+    lambda _: generate_synthetic(SyntheticConfig(n_clips=20, clip_seconds=10.0, d_audio_lld=1,
+                                                 d_video=1, seed=2)).clips,
+    lambda _: generate_synthetic(SyntheticConfig(n_clips=1, clip_seconds=3.0, seed=3)).clips,
+    _round_trip,
+    lambda _: _ragged_clips(),
+], ids=["study_full", "paper_dims", "width_1", "one_clip", "round_trip", "ragged"])
+def test_fit_norm_is_bitwise_numpy_on_the_concatenation(tmp_path, make_clips):
+    clips = make_clips(tmp_path)
+    assert all(c.audio.dtype == c.video.dtype == np.float64 for c in clips)
+    stats = fit_norm(clips)
+    got = [stats.audio_mean, stats.audio_std, stats.video_mean, stats.video_std]
+    for have, want in zip(got, _numpy_norm(clips), strict=True):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stream", ["audio", "video"])
+def test_fit_norm_rejects_a_width_1_clip_among_wider_ones(stream):
+    clips = generate_synthetic(SyntheticConfig(n_clips=4, clip_seconds=2.0, d_audio_lld=16,
+                                               d_video=16)).clips
+    setattr(clips[2], stream, getattr(clips[2], stream)[:, :1])
+    with pytest.raises(ValueError, match=f"clip 2 has {stream} width 1, clip 0 has 16"):
+        fit_norm(clips)
+
+
+def test_fit_norm_memory_does_not_grow_with_the_split():
+    clips = generate_synthetic(SyntheticConfig(n_clips=40, clip_seconds=10.0, seed=4)).clips
+    clip_bytes = max(c.audio.nbytes + c.video.nbytes for c in clips)
+    tracemalloc.start()
+    try:
+        fit_norm(clips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * clip_bytes + 64 * 1024, (peak, clip_bytes)
 
 
 def test_norm_constant_dimension_floors_to_zero():

@@ -574,6 +574,23 @@ def test_cli_train_on_mixed_feature_widths_exits_2(cli_artifacts, tmp_path, caps
     assert err.count("\n") == 1 and "clip 3 has D_v=5, but clip 0 has D_v=6" in err
 
 
+@pytest.mark.parametrize("stream", ["audio", "video"])
+def test_cli_train_on_an_empty_stream_exits_2(cli_artifacts, tmp_path, capsys, stream):
+    _, config_path, _, _ = cli_artifacts
+    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    clip = dataset.clips[4]
+    setattr(clip, stream, getattr(clip, stream)[:0])
+    if stream == "video":  # labels share T_v
+        clip.labels = clip.labels[:0]
+    save_dataset(dataset, tmp_path / "empty.avxd")
+    code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "empty.avxd"),
+                 "--out", str(tmp_path / "m.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: invariant violation: clip 4 has an empty {stream} stream\n"
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval-sweep"])
 def test_cli_input_with_bytes_after_its_last_record_exits_2(cli_artifacts, tmp_path, capsys,
                                                             command):
