@@ -60,7 +60,7 @@ def carry_forward_fill(seq: np.ndarray, mask: np.ndarray) -> np.ndarray:
     frames (no retained frame yet) become zero vectors."""
     t = seq.shape[0]
     last_retained = np.maximum.accumulate(np.where(mask, -1, np.arange(t)))
-    out = seq[np.maximum(last_retained, 0)].copy()
+    out = seq[np.maximum(last_retained, 0)]  # fancy indexing: a fresh, writeable array
     out[last_retained < 0] = 0.0
     return out
 

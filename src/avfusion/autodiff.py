@@ -13,7 +13,8 @@ layer_norm keeps its normalized input, inverse deviation and gain, relu its
 mask, attention its head-split inputs and softmax weights, and add, add_bias
 and mean keep nothing. Any other op output's array is freed as soon as the
 forward stops using it, so activation memory is set by what backward saves,
-not by everything the forward computed.
+not by everything the forward computed. A leaf's grad exists only from the
+`backward` that sets it to the `adam_step` that reads and drops it.
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
@@ -57,13 +58,15 @@ class Tensor:
     """Dense row-major float64 tensor: a value plus, for an op output, its
     node in the recorded graph.
 
-    Leaf tensors created with requires_grad=True own a zeroed grad buffer that
-    backward() accumulates into. Operation outputs never hold a grad: their
-    gradient is transient inside backward(). The graph holds no tensor and no
-    value: an op output's `_node` holds its parents' nodes and its backward
-    rule, and the rule holds only the arrays it reads. So an op output's array
-    is freed as soon as the forward stops using it, unless a rule reads it;
-    backward() drops each rule once it has run, which frees those arrays too.
+    A requires_grad leaf has no grad until backward() sets d(loss)/d(leaf),
+    and adam_step() drops it. A grad may be shared (`add` returns one `g` for
+    both operands), so it must never be written in place. Operation outputs
+    never hold a grad: their gradient is transient inside backward(). The
+    graph holds no tensor and no value: an op output's `_node` holds its
+    parents' nodes and its backward rule, and the rule holds only the arrays
+    it reads. So an op output's array is freed as soon as the forward stops
+    using it, unless a rule reads it; backward() drops each rule once it has
+    run, which frees those arrays too.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
@@ -71,12 +74,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad: np.ndarray | None = None
         self._node: _Node | None = None
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     @property
     def _backward_rule(self) -> Callable[[np.ndarray], tuple] | None:
@@ -201,39 +200,38 @@ def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[
     handoff = Tensor.__new__(Tensor)
     handoff.data, handoff.requires_grad, handoff.grad = theirs.data, True, None
     handoff._node = _Node((), lambda g: _worker.submit(
-        _run_rules, _build_tape(root), {id(root): g}, []))
+        _run_rules, _build_tape(root), {root: g}, []))
     return handoff, mine
 
 
-def _run_rules(tape: list[_Node], grads: dict[int, np.ndarray],
-               jobs: list[futures.Future]) -> None:
-    """Run the rules of `tape`, last first, accumulating into `grads` and leaf
-    grads; a fork_join stand-in's rule adds its worker job to `jobs`."""
+def _run_rules(tape: list[_Node], grads: dict, jobs: list[futures.Future]) -> None:
+    """Run the rules of `tape`, last first, summing gradients in `grads`, keyed
+    by op node or leaf tensor; a fork_join stand-in's rule adds its worker job
+    to `jobs`. Once the tape is empty every entry left is a leaf's `.grad`. On
+    the worker the tape is one fork_join branch, whose leaves the calling
+    thread never touches."""
     while tape:
         # popping drops the tape's reference; every consumer of `node` ran
         # before it, so once its rule has run nothing in the graph holds it
         node = tape.pop()
         parents, rule = node.parents, node.rule
         node.parents, node.rule = (), None
-        pgs = rule(grads.pop(id(node)))
+        pgs = rule(grads.pop(node))
         if isinstance(pgs, futures.Future):
             jobs.append(pgs)
             continue
         for parent, pg in zip(parents, pgs):
             if pg is None or parent is None:
                 continue
-            if type(parent) is Tensor:  # a leaf
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += pg
-            else:
-                acc = grads.get(id(parent))
-                # rules may return views of g; never mutate, always reallocate
-                grads[id(parent)] = pg if acc is None else acc + pg
+            acc = grads.get(parent)
+            # rules may return views of g; never mutate, always reallocate
+            grads[parent] = pg if acc is None else acc + pg
+    for leaf, grad in grads.items():
+        leaf.grad = grad
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode accumulation of d(loss)/d(leaf) into leaf `.grad` buffers.
+    """Set each grad-requiring leaf's `.grad` to d(loss)/d(leaf), replacing any it held.
 
     `loss` must be a scalar produced by recorded operations. The pass frees
     the graph as it goes, so a second backward on the same tensor, or on a
@@ -250,13 +248,10 @@ def backward(loss: Tensor) -> None:
     root = loss._node
     if root is None:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
-    if root.rule is None:
-        raise RuntimeError("backward called twice on the same graph without reset")
     tape = _build_tape(root)
-    # transient grads for op outputs; leaves accumulate into their own buffers
     jobs: list[futures.Future] = []
     try:
-        _run_rules(tape, {id(root): np.ones_like(loss.data)}, jobs)
+        _run_rules(tape, {root: np.ones_like(loss.data)}, jobs)
     finally:
         futures.wait(jobs)
     for job in jobs:
@@ -482,12 +477,14 @@ class AdamState:
 
 
 def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update from each param's grad, in place on `params` and `state`."""
+    """Bias-corrected Adam update from each param's grad, in place; drops the grads it read."""
     if lr <= 0:
         raise ValueError("adam_step lr must be > 0")
     if len(params) != len(state.m) or any(p.data.shape != m.shape
                                           for p, m in zip(params, state.m)):
         raise _shape_err("adam_step", [p.data.shape for p in params], [m.shape for m in state.m])
+    if any(p.grad is None for p in params):
+        raise ValueError("adam_step: a param has no grad (run backward before each step)")
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
@@ -497,3 +494,4 @@ def adam_step(params: Sequence[Tensor], state: AdamState, lr: float) -> None:
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (p.grad * p.grad)
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        p.grad = None

@@ -319,8 +319,6 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
         losses = []
         for at in range(0, len(order), run.train.batch_size):
             batch = order[at:at + run.train.batch_size]
-            for p in plist:
-                p.zero_grad()
             audios, videos, golds = [], [], []
             for widx in batch:
                 w = prep.train_windows[widx]
@@ -519,7 +517,10 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         key = (row[0], row[1], _parse_float(row[2], str(path)))
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
-        row_key = key + (_parse_float(row[3], str(path)),) if single else key
+        try:  # eval-sweep writes an integer seed
+            row_key = key + (int(row[3]),) if single else key
+        except ValueError as exc:
+            raise ReportError(f"{path}: seed {row[3]!r} is not an integer in row {ln!r}") from exc
         if row_key in seen:
             raise ReportError(f"{path}: duplicate row for {row_key}")
         seen.add(row_key)

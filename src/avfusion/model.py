@@ -107,8 +107,8 @@ def init_params(config: ModelConfig, seed: int) -> ParameterSet:
 
 
 def clone_params(params: ParameterSet) -> ParameterSet:
-    """Snapshot of the values, without grad buffers: snapshots are only
-    evaluated and saved, so a forward on them records no graph."""
+    """Snapshot of the values as tensors that do not require grad: snapshots
+    are only evaluated and saved, so a forward on them records no graph."""
     return {name: ad.Tensor(p.data.copy()) for name, p in params.items()}
 
 
@@ -229,7 +229,7 @@ def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     """Params and config of a checkpoint; a malformed file raises FileFormatError.
 
-    Params come back like `clone_params` snapshots, without grad buffers: a
+    Params come back like `clone_params` snapshots, not requiring grad: a
     loaded model is only evaluated, so a forward on it records no graph.
     Non-finite weights are rejected by param name.
     """

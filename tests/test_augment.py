@@ -155,3 +155,12 @@ def test_ablation_on_a_stacked_audio_view_matches_a_copy(strategy, p):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(view, before)
     assert not view.flags.writeable
+
+
+def test_frame_repeat_on_a_stacked_audio_view_returns_a_fresh_array():
+    view = stack_context(np.random.default_rng(6).normal(size=(40, 3)))
+    before = view.copy()
+    got = frame_repeat(view, 0.5, derive_rng(12, 0))
+    assert got.flags.writeable and not np.shares_memory(got, view)
+    assert not np.array_equal(got, view)  # frames were replaced, so carry_forward_fill ran
+    np.testing.assert_array_equal(view, before)

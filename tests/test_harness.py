@@ -234,6 +234,22 @@ def test_one_training_step_records_80_ops(tiny_prep, monkeypatch):
     assert {"sub", "div", "scale", "slice_cols", "mean"}.isdisjoint(ops)
 
 
+def test_training_leaves_no_grad_on_its_params(tiny_prep, monkeypatch):
+    trained = []
+
+    def keeping(config, seed):
+        trained.append(init_params(config, seed))
+        return trained[-1]
+
+    monkeypatch.setattr(harness, "init_params", keeping)
+    result = train_on_prepared(run_config_from_dict(TINY_RUN), tiny_prep)
+    (params,) = trained
+    fresh = init_params(result.config, TINY_RUN["train"]["seed"])
+    assert not np.array_equal(params["head.W"].data, fresh["head.W"].data)  # they were stepped
+    assert all(p.requires_grad and p.grad is None for p in params.values())
+    assert all(p.grad is None for p in result.params.values())
+
+
 def test_best_epoch_is_the_first_argmax_and_its_params_are_returned(tiny_prep):
     cfg = {**TINY_RUN, "train": {**TINY_RUN["train"], "epochs": 3, "lr": 1e-2}}
     result = train_on_prepared(run_config_from_dict(cfg), tiny_prep)
@@ -282,7 +298,7 @@ def test_evaluate_windows_records_no_graph_on_grad_params(tiny_prep, monkeypatch
     summary = harness.evaluate_windows(params, config, tiny_prep.val_windows)
     monkeypatch.undo()
     assert outputs and not any(out.requires_grad or out._node for out in outputs)
-    assert all(p.requires_grad and not p.grad.any() for p in params.values())
+    assert all(p.requires_grad and p.grad is None for p in params.values())
     snapshot = harness.evaluate_windows(clone_params(params), config, tiny_prep.val_windows)
     assert (summary.ccc_valence, summary.ccc_arousal) == (snapshot.ccc_valence,
                                                           snapshot.ccc_arousal)
@@ -436,7 +452,7 @@ def test_report_single_model_repeated_row_is_error(tmp_path):
     path = tmp_path / "m.csv"
     _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4",
                       "clip_zero,video,1.0,0,0.1,0.2"])
-    want = rf"^{re.escape(str(path))}: duplicate row for \('clip_zero', 'video', 1\.0, 0\.0\)$"
+    want = rf"^{re.escape(str(path))}: duplicate row for \('clip_zero', 'video', 1\.0, 0\)$"
     with pytest.raises(ReportError, match=want):
         merge_reports([path])
 
@@ -657,6 +673,18 @@ def test_report_merged_header_must_pair_each_label(tmp_path, columns):
     path.write_text(f"strategy,modality,probability,{columns}\nclip_zero,video,1.0,{cells}\n")
     with pytest.raises(ReportError, match=f"^{re.escape(str(path))}: un"):
         harness.read_sweep_results(path)
+
+
+@pytest.mark.parametrize("seed", ["nan", "1.5", "inf"])
+def test_cli_report_non_integer_seed_exits_2(tmp_path, capsys, seed):
+    # two nan seeds compare unequal, so they would escape the duplicate-row check
+    path = tmp_path / "m.csv"
+    rows = [f"clip_zero,video,1.0,{seed},0.1,0.2", f"clip_zero,video,1.0,{seed},0.9,0.8"]
+    _write_csv(path, rows)
+    assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: seed {seed!r} is not an integer "
+                                       f"in row {rows[0]!r}\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("row", ["bogus,video,1.0,0,0.1,0.2", "clip_zero,face,1.0,0,0.1,0.2"])

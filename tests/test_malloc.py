@@ -31,8 +31,6 @@ audio, video = rng.standard_normal((rows, 960)), rng.standard_normal((rows, 32))
 gold = rng.uniform(-1.0, 1.0, (rows, 2))
 
 def step():
-    for p in plist:
-        p.zero_grad()
     pred = model_forward(ad.Tensor(audio.copy()), ad.Tensor(video.copy()), params, config)
     loss = ccc_loss(pred, gold)
     ad.backward(loss)

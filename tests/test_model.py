@@ -256,6 +256,20 @@ def test_fusion_scalars_receive_gradient():
     assert abs(float(params["fusion.beta"].grad)) > 0.0
 
 
+def test_backward_gives_every_param_a_grad_and_adam_step_drops_them():
+    params = init_params(SMALL, seed=13)
+    plist = list(params.values())
+    rng = np.random.default_rng(13)
+    rows = 2 * SMALL.seq_len
+    pred = model_forward(ad.Tensor(rng.uniform(-1, 1, (rows, SMALL.d_audio))),
+                         ad.Tensor(rng.uniform(-1, 1, (rows, SMALL.d_video))), params, SMALL)
+    ad.backward(ccc_loss(pred, rng.uniform(-1, 1, (rows, 2))))
+    for name, p in params.items():
+        assert p.grad is not None and p.grad.shape == p.data.shape, name
+    ad.adam_step(plist, ad.AdamState.for_params(plist), 1e-3)
+    assert all(p.grad is None for p in plist)
+
+
 # --- concurrent encoder branches ---
 
 DEEP = ModelConfig(d_audio=5, d_video=4, num_layers=2, d_model=8, num_heads=2,
