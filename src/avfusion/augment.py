@@ -32,6 +32,8 @@ class AblationSpec:
             raise ValueError(f"unknown modality {self.modality!r}, expected one of {MODALITIES}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+        if self.seed < 0:
+            raise ValueError(f"ablation.seed must be >= 0, got {self.seed}")
 
 
 def clip_zero(seq: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -21,8 +21,11 @@ instead of propagating (pure data-movement ops skip the check; their inputs
 were checked by their producers). `fork_join` records one branch of a graph
 on the package's worker thread while the calling thread records the other,
 and `backward` runs that branch's rules on the worker too, concurrently with
-the calling thread's own. Tensors are plain data and safe to hand between
-threads.
+the calling thread's own. When the worker is idle it also takes head chunks
+of the calling thread's `attention` calls, forward and backward (`_share`);
+each chunk is the same numpy calls on the same slices whichever thread runs
+it, so every result is bitwise that of one thread. Tensors are plain data and
+safe to hand between threads.
 """
 
 from __future__ import annotations
@@ -157,9 +160,9 @@ def _build_tape(root: _Node) -> list[_Node]:
 
 def _new_worker() -> None:
     # the package's one worker thread, which runs fork_join's `there` branch
-    # forward and backward. The executor starts its thread on the first
-    # submit, not here; a forked child gets a fresh one, as it has no copy of
-    # the parent's thread
+    # forward and backward, and helps with attention chunks (`_share`) when
+    # idle. The executor starts its thread on the first submit, not here; a
+    # forked child gets a fresh one, as it has no copy of the parent's thread
     global _worker
     _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-worker")
 
@@ -182,6 +185,11 @@ def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[
     and shares no grad-requiring leaf with it (the model's two encoder
     branches meet only at the cross-modal fusion). Called from `there`, it
     raises RuntimeError: the one worker would wait on itself.
+
+    The worker runs one job at a time. Outside `there` and its backward, an
+    idle worker also takes `attention` head chunks (see `_share`); `here`'s
+    attention calls never wait for `there`, and `there`'s run on the worker
+    alone.
     """
     if threading.current_thread().name.startswith("avfusion-worker"):
         raise RuntimeError("fork_join called on its own worker thread, which would wait on itself")
@@ -202,6 +210,51 @@ def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[
     handoff._node = _Node((), lambda g: _worker.submit(
         _run_rules, _build_tape(root), {root: g}, []))
     return handoff, mine
+
+
+def _share(n: int, work: Callable[[int], None]) -> None:
+    """Run work(i) for each i in range(n), on the calling thread and, while it
+    is idle, the worker: each takes the next i until none is left.
+
+    Returns or raises only once no work(i) is running; an error in one stops
+    both from taking more and propagates unchanged (the calling thread's, if
+    both fail). The caller never waits for the worker's earlier jobs: if the
+    worker has not started helping when the caller runs out of work, the help
+    is cancelled. With one item, or on the worker itself, work runs inline and
+    nothing is submitted.
+    """
+    if n <= 1 or threading.current_thread().name.startswith("avfusion-worker"):
+        for i in range(n):
+            work(i)
+        return
+    lock = threading.Lock()
+    next_i = 0
+
+    def take() -> None:
+        nonlocal next_i, work
+        while True:
+            with lock:
+                i, fn = next_i, work
+                if fn is None or i == n:
+                    return
+                next_i = i + 1
+            try:
+                fn(i)
+            except BaseException:
+                work = None  # neither thread takes another i
+                raise
+
+    job = _worker.submit(take)
+    try:
+        take()
+    finally:
+        if not job.cancel():
+            futures.wait((job,))
+        # a cancelled job stays queued until the worker reaches it; it must
+        # not keep work, and with it the arrays work writes, alive till then
+        work = None
+    if not job.cancelled():
+        job.result()
 
 
 def _run_rules(tape: list[_Node], grads: dict, jobs: list[futures.Future]) -> None:
@@ -378,11 +431,14 @@ def _merge_heads(x: np.ndarray, b: int, t: int, h: int, dh: int) -> np.ndarray:
 
 
 # score buffers are processed in head chunks small enough to stay cache
-# resident. At B16 T100 H4 d_model 32 (2-core box, one BLAS thread), fwd+bwd
-# took 10-13.5 ms with chunks of 4 or 8 over 8 alternating rounds, 14 with
-# 16 and 13-19 with 64; recomputing the weights in the backward instead of
-# keeping them took 16-21 ms at every size. The inference forward, which
-# keeps no weights, took 4.6-6.5 ms with 4 or 8.
+# resident, and the chunks are shared with the idle worker. At B16 T100 H4
+# d_model 32 (2-core box, one BLAS thread, worker idle), fwd+bwd took
+# 9.2-10.5 ms with chunks of 8 over 4 alternating rounds, 9.8-11.3 with 4,
+# 9.5-11.1 with 16 and 19-21 with 64 (one chunk, so one thread); the
+# inference forward, which keeps no weights, took 3.8-4.5 ms with 8,
+# 4.4-5.4 with 4 or 16 and 6.4-7.6 with 64. Recomputing the weights in the
+# backward instead of keeping them took 16-21 ms at every size, measured
+# before the sharing.
 _ATTN_CHUNK = 8
 
 
@@ -401,14 +457,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
     q, k, v: [(B*T) x d] with T = block_len. Per block and head:
     softmax(q_h k_h^T / sqrt(d_h), over the key axis) @ v_h, with the usual
     max subtraction inside the softmax; head outputs are re-concatenated.
-    Chunking over heads never changes results (blocks are independent).
+    Chunking over heads never changes results (blocks are independent), and
+    neither does the thread that runs a chunk: the forward and the backward
+    rule each hand their chunks to `_share`, so an idle worker takes some.
 
     When any of q, k, v requires grad, the forward keeps each chunk's softmax
     weights ([B*H, T, T] in all) and the backward rule reads them, with its
     head-split q3, k3, v3, not q, k, v (with one head, k3 and v3 are views of
-    k and v, so keeping them costs no more). A forward
-    with no grad-requiring input keeps no weights, so inference holds one
-    chunk's at a time.
+    k and v, so keeping them costs no more). A forward with no grad-requiring
+    input keeps no weights, so inference holds at most one chunk's per thread
+    that runs chunks: two at a time.
     """
     if not (q.data.shape == k.data.shape == v.data.shape) or q.data.ndim != 2:
         raise _shape_err("attention", q.data.shape, k.data.shape, v.data.shape)
@@ -424,14 +482,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
     k3 = _split_heads(k.data, b, t, num_heads, dh)
     v3 = _split_heads(v.data, b, t, num_heads, dh)
     out3 = np.empty_like(v3)
+    los = range(0, bh, _ATTN_CHUNK)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
-    weights = []  # each chunk's softmax weights, kept for the backward rule
-    for lo in range(0, bh, _ATTN_CHUNK):
+    weights = [None] * len(los) if keep else None  # each chunk's softmax weights, for bw
+
+    def forward_chunk(i: int) -> None:
+        lo = los[i]
         hi = min(lo + _ATTN_CHUNK, bh)
         w = _chunk_softmax(q3[lo:hi], k3[lo:hi])
         out3[lo:hi] = w @ v3[lo:hi]
-        if keep:
-            weights.append(w)
+        if weights is not None:
+            weights[i] = w
+
+    _share(len(los), forward_chunk)
     out = _merge_heads(out3, b, t, num_heads, dh)
 
     def bw(g: np.ndarray):
@@ -439,7 +502,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
         dq3 = np.empty_like(q3)
         dk3 = np.empty_like(k3)
         dv3 = np.empty_like(v3)
-        for lo, w in zip(range(0, bh, _ATTN_CHUNK), weights):
+
+        def backward_chunk(i: int) -> None:
+            lo, w = los[i], weights[i]
             hi = min(lo + _ATTN_CHUNK, bh)
             gc = g3[lo:hi]
             dv3[lo:hi] = w.transpose(0, 2, 1) @ gc
@@ -448,6 +513,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, block_len: int) -
             ds *= w
             dq3[lo:hi] = ds @ k3[lo:hi]
             dk3[lo:hi] = ds.transpose(0, 2, 1) @ q3[lo:hi]  # q3 carries 1/sqrt(d_h)
+
+        _share(len(los), backward_chunk)
         dq3 *= c
         return (_merge_heads(dq3, b, t, num_heads, dh),
                 _merge_heads(dk3, b, t, num_heads, dh),

@@ -94,6 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_sweep(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     params, config = load_checkpoint(args.model)
     dataset = load_dataset(args.data)
     splits = load_run_config(args.config).splits if args.config else SplitFractions()

@@ -76,6 +76,8 @@ class SyntheticConfig:
             raise ValueError("rho must be in (0, 1)")
         if self.d_audio_lld < 1 or self.d_video < 1:
             raise ValueError("feature dims must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"data.seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -462,11 +462,11 @@ class ReportError(ValueError):
     pass
 
 
-def _parse_float(text: str, where: str) -> float:
+def _parse_float(text: str, path, line: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
-        raise ReportError(f"bad number {text!r} in {where}") from exc
+        raise ReportError(f"{path}: bad number {text!r} in row {line!r}") from exc
 
 
 def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
@@ -514,7 +514,7 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             raise ReportError(f"{path}: malformed row {row!r}")
         if row[0] not in STRATEGIES or row[1] not in MODALITIES:
             raise ReportError(f"{path}: unknown strategy or modality in row {ln!r}")
-        key = (row[0], row[1], _parse_float(row[2], str(path)))
+        key = (row[0], row[1], _parse_float(row[2], path, ln))
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
         try:  # eval-sweep writes an integer seed
@@ -525,8 +525,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             raise ReportError(f"{path}: duplicate row for {row_key}")
         seen.add(row_key)
         for j, label in enumerate(labels):
-            pair = (_parse_float(row[first + 2 * j], str(path)),
-                    _parse_float(row[first + 2 * j + 1], str(path)))
+            pair = (_parse_float(row[first + 2 * j], path, ln),
+                    _parse_float(row[first + 2 * j + 1], path, ln))
             for value in pair:
                 if not abs(value) <= 1.0:
                     raise ReportError(f"{path}: CCC {value!r} outside [-1, 1] in row {ln!r}")

@@ -187,7 +187,12 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     branch propagates unchanged (the audio branch's, if both fail).
     `backward` on a loss of the result runs the video encoder's rules on the
     worker thread too, while the calling thread runs the audio encoder's,
-    with bitwise the grads of a one-thread pass.
+    with bitwise the grads of a one-thread pass. Whenever the worker is idle,
+    in the forward and the backward alike, it also runs head chunks of the
+    calling thread's attention calls (the cross-modal fusion's, and the audio
+    encoder's once the video encoder is done), again with bitwise the same
+    results; inference then holds at most one chunk's softmax weights per
+    thread.
     """
     rows = _stacked_rows(audio, "model_forward: audio", config.seq_len)
     for name, x, d in (("audio", audio, config.d_audio), ("video", video, config.d_video)):

@@ -1,5 +1,6 @@
 import contextlib
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -375,7 +376,27 @@ def test_the_graph_keeps_only_the_op_outputs_a_rule_reads(monkeypatch):
     assert [op for op, ref in outputs if ref() is not None] == ["mean"]
 
 
-def test_attention_keeps_softmax_weights_only_when_an_input_requires_grad(monkeypatch):
+@contextlib.contextmanager
+def worker_held_busy():
+    """The autodiff worker blocked in a job of its own until the block exits,
+    which must not wait for that job."""
+    started, release = threading.Event(), threading.Event()
+
+    def hold():
+        started.set()
+        release.wait(timeout=10)
+
+    job = ad._worker.submit(hold)
+    assert started.wait(timeout=10)
+    try:
+        yield
+        assert not job.done()
+    finally:
+        release.set()
+        job.result(timeout=10)
+
+
+def assert_attention_keeps_weights_only_for_grad(monkeypatch, max_live):
     made, live = [], []  # weak references to each chunk's weights; live ones at each call
     real = ad._chunk_softmax
 
@@ -389,7 +410,7 @@ def test_attention_keeps_softmax_weights_only_when_an_input_requires_grad(monkey
     q, k = (ad.Tensor(rand((30, 4), seed)) for seed in (80, 81))  # 20 heads: 3 chunks
     v = ad.Tensor(rand((30, 4), 82))
     ad.attention(q, k, v, 2, block_len=3)
-    assert len(made) == 3 and max(live) <= 1  # one chunk's weights at a time
+    assert len(made) == 3 and max(live) <= max_live
     assert all(ref() is None for ref in made)
     made.clear()
     v.requires_grad = True
@@ -398,6 +419,17 @@ def test_attention_keeps_softmax_weights_only_when_an_input_requires_grad(monkey
     ad.backward(loss)
     assert len(made) == 3  # the rule read the kept weights, computing none again
     assert all(ref() is None for ref in made)
+
+
+def test_attention_keeps_softmax_weights_only_when_an_input_requires_grad(monkeypatch):
+    # the calling thread runs every chunk, and the help it submitted, never
+    # started, must keep none of them alive
+    with worker_held_busy():
+        assert_attention_keeps_weights_only_for_grad(monkeypatch, max_live=1)
+
+
+def test_attention_helped_by_the_worker_holds_one_chunks_weights_per_thread(monkeypatch):
+    assert_attention_keeps_weights_only_for_grad(monkeypatch, max_live=2)
 
 
 def test_finite_values_whose_sum_overflows_are_accepted():
@@ -689,6 +721,158 @@ def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads(monkeypatch
     for t in (outputs[-2], hv, roots[0]):
         with pytest.raises(RuntimeError, match="freed"):
             ad.backward(ad.tmean(t))
+
+
+# --- attention chunks shared with the worker ---
+
+
+def attention_and_grads(q, k, v, g, num_heads, block_len):
+    """Inference output, then the recorded output and the grads of q, k, v."""
+    plain = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), num_heads, block_len)
+    leaves = [ad.Tensor(x, requires_grad=True) for x in (q, k, v)]
+    out = ad.attention(*leaves, num_heads, block_len)
+    ad.backward(ad.tmean(ad.mul(out, ad.Tensor(g))))
+    return [plain.data, out.data] + [leaf.grad for leaf in leaves]
+
+
+def helped_share(ran):
+    """ad._share whose calling thread waits (up to 10 s) in its first item
+    for the worker to take one; appends the thread of each item run to `ran`."""
+    real = ad._share
+
+    def share(n, work):
+        me, helped = threading.get_ident(), threading.Event()
+
+        def traced(i):
+            ran.append(threading.get_ident())
+            if threading.get_ident() != me:
+                helped.set()
+            elif n > 1:
+                helped.wait(timeout=10)
+            work(i)
+
+        real(n, traced)
+
+    return share
+
+
+# (blocks, block_len, heads, d_model): 5, 16, 20 and 33 head rows, in chunks of 8
+@pytest.mark.parametrize("b,t,h,d", [(5, 7, 1, 3), (4, 6, 4, 8), (10, 3, 2, 4), (11, 5, 3, 6)])
+def test_attention_is_bitwise_the_same_whichever_thread_runs_each_chunk(monkeypatch, b, t, h, d):
+    q, k, v, g = (rand((b * t, d), seed) for seed in range(90, 94))
+    with worker_held_busy():  # the calling thread runs every chunk
+        want = attention_and_grads(q, k, v, g, h, t)
+    ran = []
+    monkeypatch.setattr(ad, "_share", helped_share(ran))
+    got = attention_and_grads(q, k, v, g, h, t)
+    for name, x, y in zip(("inference", "out", "dq", "dk", "dv"), got, want):
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    chunks = -(-b * h // ad._ATTN_CHUNK)
+    assert len(ran) == 3 * chunks  # two forwards and a backward, each chunk once
+    threads = {threading.get_ident()} | ({worker_thread()} if chunks > 1 else set())
+    assert set(ran) == threads
+
+
+@pytest.mark.parametrize("failing", ["calling", "worker"])
+def test_an_error_in_a_shared_item_propagates_unwrapped_once_no_item_runs(failing):
+    me, error = threading.get_ident(), ProbeError(failing)
+    both_started = threading.Barrier(2, timeout=10)
+    finished = []
+
+    def work(i):
+        side = "calling" if threading.get_ident() == me else "worker"
+        both_started.wait()  # each thread holds one item when the failing one raises
+        if side == failing:
+            raise error
+        time.sleep(0.2)
+        finished.append((i, time.perf_counter()))
+
+    with pytest.raises(ProbeError) as exc:
+        ad._share(6, work)
+    returned = time.perf_counter()
+    assert exc.value is error
+    assert len(finished) == 1 and finished[0][1] <= returned  # neither took another item
+    ran = []
+    ad._share(3, ran.append)  # the next call still runs every item
+    assert sorted(ran) == [0, 1, 2]
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Every function submitted to ad._worker, which still runs them all."""
+    worker, log = ad._worker, []
+
+    class LoggedWorker:
+        def submit(self, fn, *args):
+            log.append(fn)
+            return worker.submit(fn, *args)
+
+    monkeypatch.setattr(ad, "_worker", LoggedWorker())
+    return log
+
+
+def test_a_one_chunk_attention_submits_nothing_to_the_worker(submitted):
+    q, k, v, g = (rand((12, 4), seed) for seed in range(95, 99))
+    attention_and_grads(q, k, v, g, 2, 3)  # 4 blocks x 2 heads: one chunk
+    assert submitted == []
+    attention_and_grads(q, k, v, g, 4, 2)  # 6 blocks x 4 heads: three chunks
+    assert len(submitted) == 3  # one hand-off per forward and one for the backward
+
+
+def test_attention_on_the_worker_runs_inline(submitted):
+    q, k, v, g = (rand((30, 4), seed) for seed in range(95, 99))  # 20 head rows: 3 chunks
+    want = attention_and_grads(q, k, v, g, 2, 3)
+    submitted.clear()
+    got = ad._worker.submit(attention_and_grads, q, k, v, g, 2, 3).result(timeout=30)
+    assert submitted == [attention_and_grads]  # the job itself, and nothing from within
+    for x, y in zip(got, want):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_shared_items_each_run_once_when_many_threads_share_the_worker():
+    ran = {caller: [] for caller in range(6)}  # more callers than cores
+
+    def call(caller):
+        for _ in range(20):
+            ran[caller].clear()
+            ad._share(50, ran[caller].append)
+            assert sorted(ran[caller]) == list(range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with futures.ThreadPoolExecutor(len(ran)) as pool:
+            jobs = [pool.submit(call, caller) for caller in ran]
+            for job in futures.as_completed(jobs, timeout=60):
+                job.result()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _attention_training_step(q, k, v, g):
+    leaves = [ad.Tensor(x, requires_grad=True) for x in (q, k, v)]
+    ad.backward(ad.tmean(ad.mul(ad.attention(*leaves, 4, 5), ad.Tensor(g))))
+    ad.adam_step(leaves, ad.AdamState.for_params(leaves), lr=0.1)
+    return [leaf.data for leaf in leaves]
+
+
+def test_a_training_step_with_shared_chunks_completes_in_a_forked_child():
+    q, k, v, g = (rand((60, 8), seed) for seed in range(100, 104))  # 48 head rows: 6 chunks
+    want = _attention_training_step(q, k, v, g)  # starts the worker thread
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the alarm ends a child whose step would wait forever
+            signal.alarm(20)
+            got = _attention_training_step(q, k, v, g)
+            same = all(np.array_equal(x, y) for x, y in zip(got, want))
+            os.write(write_end, b"same" if same else b"differs")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(read_end, "rb") as f:
+        assert (f.read(), os.waitstatus_to_exitcode(status)) == (b"same", 0)
 
 
 # --- adam ---

@@ -654,6 +654,16 @@ def test_cli_report_value_no_sweep_can_produce_exits_2(tmp_path, capsys, row, me
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("row", ["clip_zero,video,abc,0,0.1,0.2",   # the probability
+                                 "clip_zero,video,0.5,0,0.1,abc"])  # a CCC
+def test_cli_report_bad_number_names_the_row_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", row])
+    assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: bad number 'abc' in row {row!r}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
 def test_cli_report_label_the_merged_header_cannot_hold_exits_2(tmp_path, capsys, stem):
     path, other = tmp_path / f"{stem}.csv", tmp_path / "c.csv"
@@ -744,6 +754,35 @@ def test_cli_gradcheck_negative_seed_exits_2(capsys):
     assert main(["gradcheck", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --seed must be >= 0, got -1\n" and captured.out == ""
+
+
+def test_cli_eval_sweep_negative_seed_exits_2_before_loading_anything(tmp_path, capsys):
+    # neither input exists, so only a check made before loading can name the seed
+    out = tmp_path / "s.csv"
+    assert main(["eval-sweep", "--model", str(tmp_path / "missing.ckpt"),
+                 "--data", str(tmp_path / "missing.avxd"), "--strategy", "clip_zero",
+                 "--modality", "video", "--seed", "-3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -3\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,section,value,message", [
+    ("train", "ablation", {"strategy": "frame_zero", "seed": -5},
+     "ablation.seed must be >= 0, got -5"),
+    ("synth", "data", dict(TINY_RUN["data"], seed=-2), "data.seed must be >= 0, got -2"),
+])
+def test_cli_negative_seed_in_a_config_section_exits_2(cli_artifacts, tmp_path, capsys,
+                                                       command, section, value, message):
+    _, _, data_path, _ = cli_artifacts
+    config = {"model": TINY_RUN["model"], "train": TINY_RUN["train"], section: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.bin"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--data", str(data_path)] if command == "train" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,section,key,value", [
