@@ -18,14 +18,13 @@ not by everything the forward computed. A leaf's grad exists only from the
 
 Every value-producing operation checks its output for NaN/Inf and raises
 instead of propagating (pure data-movement ops skip the check; their inputs
-were checked by their producers). `fork_join` records one branch of a graph
-on the package's worker thread while the calling thread records the other,
-and `backward` runs that branch's rules on the worker too, concurrently with
-the calling thread's own. When the worker is idle it also takes head chunks
-of the calling thread's `attention` calls, forward and backward (`_share`);
-each chunk is the same numpy calls on the same slices whichever thread runs
-it, so every result is bitwise that of one thread. Tensors are plain data and
-safe to hand between threads.
+were checked by their producers). Work goes to the package's one worker
+thread only through `_share`, which runs its items on whichever of the
+calling thread and the worker is free: the two branches of a `fork_join`,
+forward and backward, and the head chunks of an `attention` call. Each item
+is the same numpy calls on the same arrays whichever thread runs it, so
+every result is bitwise that of one thread. Tensors are plain data and safe
+to hand between threads.
 """
 
 from __future__ import annotations
@@ -125,10 +124,10 @@ def _build_tape(root: _Node) -> list[_Node]:
     """Nodes of the subgraph below `root`, in topological order.
 
     A parentless node (a fork_join stand-in) goes directly below its lowest
-    consumer, not where the traversal first reaches it: its rule hands its
-    branch to the worker, which so starts as soon as the stand-in's gradient
-    is complete. Having no parents, it can move there without reordering any
-    other rule.
+    consumer, not where the traversal first reaches it: reaching it hands its
+    branch to whichever thread is free, which so starts as soon as the
+    stand-in's gradient is complete. Having no parents, it can move there
+    without reordering any other rule.
     """
     tape: list[_Node] = []
     placed: set[int] = set()
@@ -159,10 +158,9 @@ def _build_tape(root: _Node) -> list[_Node]:
 
 
 def _new_worker() -> None:
-    # the package's one worker thread, which runs fork_join's `there` branch
-    # forward and backward, and helps with attention chunks (`_share`) when
-    # idle. The executor starts its thread on the first submit, not here; a
-    # forked child gets a fresh one, as it has no copy of the parent's thread
+    # the package's one worker thread, which takes `_share` items when idle.
+    # The executor starts its thread on the first submit, not here; a forked
+    # child gets a fresh one, as it has no copy of the parent's thread
     global _worker
     _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="avfusion-worker")
 
@@ -172,49 +170,42 @@ os.register_at_fork(after_in_child=_new_worker)
 
 
 def fork_join(there: Callable[[], Tensor], here: Callable[[], Tensor]) -> tuple[Tensor, Tensor]:
-    """(there(), here()), with `there` run on the worker thread while the
-    calling thread runs `here`.
+    """(there(), here()), each run on whichever thread is free: the calling
+    thread runs `here`, and `there` runs on the worker if it is idle, else on
+    the calling thread next (see `_share`; on the worker both run inline).
 
-    Returns or raises only once both have finished; an error in either
-    propagates unchanged (here's, if both fail). `backward` through there's
-    tensor runs the rules of the subgraph below it on the worker, as soon as
-    its gradient is complete and while the calling thread runs its remaining
-    rules. Each gradient then sums its terms in one-thread order, so every
-    result is bitwise that of a one-thread pass, provided the rest of the
-    graph reaches the subgraph below there's tensor only through that tensor
-    and shares no grad-requiring leaf with it (the model's two encoder
-    branches meet only at the cross-modal fusion). Called from `there`, it
-    raises RuntimeError: the one worker would wait on itself.
-
-    The worker runs one job at a time. Outside `there` and its backward, an
-    idle worker also takes `attention` head chunks (see `_share`); `here`'s
-    attention calls never wait for `there`, and `there`'s run on the worker
-    alone.
+    Returns or raises only once neither runs; an error in either stops the
+    other from starting and propagates unchanged (here's, if both fail).
+    `backward` hands the rules of the subgraph below there's tensor to
+    whichever thread is free as soon as its gradient is complete. Every
+    result is bitwise that of one thread, provided the rest of the graph
+    reaches that subgraph only through there's tensor and shares no
+    grad-requiring leaf with it (the model's two encoder branches meet only
+    at the cross-modal fusion).
     """
-    if threading.current_thread().name.startswith("avfusion-worker"):
-        raise RuntimeError("fork_join called on its own worker thread, which would wait on itself")
-    job = _worker.submit(there)
-    try:
-        mine = here()
-    finally:
-        futures.wait((job,))
-    theirs = job.result()
+    out: list[Tensor | None] = [None, None]
+
+    def run(i: int) -> None:
+        out[i] = (here, there)[i]()
+
+    _share(2, run)
+    mine, theirs = out
     root = theirs._node
     if root is None:
         return theirs, mine
     # a parentless stand-in for theirs, built without _record so the graph
-    # gains no op: its rule hands root's subgraph to the worker, building the
-    # sub-tape first so that the job holds no more than the ops left to run
+    # gains no op: its rule gives _run_rules root's sub-tape, built only then
+    # so that it holds no more than the ops left to run
     handoff = Tensor.__new__(Tensor)
     handoff.data, handoff.requires_grad, handoff.grad = theirs.data, True, None
-    handoff._node = _Node((), lambda g: _worker.submit(
-        _run_rules, _build_tape(root), {root: g}, []))
+    handoff._node = _Node((), lambda g: (_build_tape(root), {root: g}))
     return handoff, mine
 
 
 def _share(n: int, work: Callable[[int], None]) -> None:
     """Run work(i) for each i in range(n), on the calling thread and, while it
-    is idle, the worker: each takes the next i until none is left.
+    is idle, the worker: the calling thread runs work(0), then each thread
+    takes the next i until none is left.
 
     Returns or raises only once no work(i) is running; an error in one stops
     both from taking more and propagates unchanged (the calling thread's, if
@@ -228,25 +219,27 @@ def _share(n: int, work: Callable[[int], None]) -> None:
             work(i)
         return
     lock = threading.Lock()
-    next_i = 0
+    next_i = 1  # 0 is the calling thread's
 
-    def take() -> None:
+    def take(i: int | None = None) -> None:
         nonlocal next_i, work
         while True:
             with lock:
-                i, fn = next_i, work
-                if fn is None or i == n:
-                    return
-                next_i = i + 1
+                fn = work
+                if i is None:
+                    i, next_i = next_i, next_i + 1
+            if fn is None or i >= n:
+                return
             try:
                 fn(i)
             except BaseException:
                 work = None  # neither thread takes another i
                 raise
+            i = None
 
     job = _worker.submit(take)
     try:
-        take()
+        take(0)
     finally:
         if not job.cancel():
             futures.wait((job,))
@@ -257,12 +250,12 @@ def _share(n: int, work: Callable[[int], None]) -> None:
         job.result()
 
 
-def _run_rules(tape: list[_Node], grads: dict, jobs: list[futures.Future]) -> None:
+def _run_rules(tape: list[_Node], grads: dict) -> None:
     """Run the rules of `tape`, last first, summing gradients in `grads`, keyed
-    by op node or leaf tensor; a fork_join stand-in's rule adds its worker job
-    to `jobs`. Once the tape is empty every entry left is a leaf's `.grad`. On
-    the worker the tape is one fork_join branch, whose leaves the calling
-    thread never touches."""
+    by op node or leaf tensor. Once the tape is empty every entry left is a
+    leaf's `.grad`. A fork_join stand-in's rule returns its branch's sub-tape
+    and gradients; the rest of `tape` and the branch then run as items 0 and
+    1 of one `_share` call."""
     while tape:
         # popping drops the tape's reference; every consumer of `node` ran
         # before it, so once its rule has run nothing in the graph holds it
@@ -270,9 +263,10 @@ def _run_rules(tape: list[_Node], grads: dict, jobs: list[futures.Future]) -> No
         parents, rule = node.parents, node.rule
         node.parents, node.rule = (), None
         pgs = rule(grads.pop(node))
-        if isinstance(pgs, futures.Future):
-            jobs.append(pgs)
-            continue
+        if not parents:  # a fork_join stand-in
+            parts = (tape, grads), pgs
+            _share(2, lambda i: _run_rules(*parts[i]))
+            return
         for parent, pg in zip(parents, pgs):
             if pg is None or parent is None:
                 continue
@@ -290,25 +284,18 @@ def backward(loss: Tensor) -> None:
     the graph as it goes, so a second backward on the same tensor, or on a
     new graph built on its op outputs, is an error (rerun the forward instead).
 
-    The rules of a branch recorded by `fork_join` run on the worker thread
-    (see there); every other rule runs on the calling thread, whichever
-    thread recorded it. The call returns or raises only once the worker has
-    finished too; a rule's error propagates unchanged (the calling thread's,
-    if both fail).
+    The rules of a branch recorded by `fork_join` run on whichever thread is
+    free once its gradient is complete (see there); every other rule runs on
+    the calling thread, whichever thread recorded it. The call returns or
+    raises only once no rule runs; a rule's error stops both threads and
+    propagates unchanged (the calling thread's, if both fail).
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     root = loss._node
     if root is None:
         raise RuntimeError("backward on empty tape: loss was not produced by recorded ops")
-    tape = _build_tape(root)
-    jobs: list[futures.Future] = []
-    try:
-        _run_rules(tape, {root: np.ones_like(loss.data)}, jobs)
-    finally:
-        futures.wait(jobs)
-    for job in jobs:
-        job.result()
+    _run_rules(_build_tape(root), {root: np.ones_like(loss.data)})
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +326,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = np.mean(x.data, axis=1, keepdims=True)
     xhat = x.data - mu
     var = np.mean(xhat * xhat, axis=1, keepdims=True)
+    _check_finite(var, "layer_norm")  # an overflowing row would come out as the bias
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     gain_data = gain.data

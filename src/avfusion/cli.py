@@ -1,12 +1,14 @@
 """Command line interface: synth, train, eval-sweep, gradcheck, report.
 
-Exit codes: 0 success, 1 check failure, 2 invalid input, 3 dimension mismatch.
+Exit codes: 0 success, 1 check failure, 2 invalid input (also a run whose
+values leave the float range: FloatingPointError), 3 dimension mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from . import harness
@@ -164,13 +166,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_output_dirs(args)
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            # ops raise FloatingPointError on a non-finite value; numpy's own
+            # warning about it would only add lines before that error
+            warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                    RuntimeWarning)
+            return _COMMANDS[args.command](args)
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION_MISMATCH
-    except (FileFormatError, OSError, ValueError, MemoryError) as exc:
+    except (FileFormatError, OSError, ValueError, MemoryError, FloatingPointError) as exc:
         # ValueError covers ConfigError and ReportError; MemoryError is numpy
-        # refusing an array too large for this machine (e.g. a huge d_model)
+        # refusing an array too large for this machine (e.g. a huge d_model);
+        # FloatingPointError is a value out of the float range (e.g. a huge lr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -68,6 +68,9 @@ class SyntheticConfig:
                              f"got {self.n_clips}")
         if not 0 < self.clip_seconds < math.inf:
             raise ValueError("clip_seconds must be finite and > 0")
+        if not self.clip_seconds * FPS_AUDIO < math.inf:
+            raise ValueError(f"clip_seconds must give a finite audio frame count at "
+                             f"{FPS_AUDIO} fps, got {self.clip_seconds!r}")
         if not 0 <= self.sigma_audio < math.inf:
             raise ValueError("sigma_audio must be finite and >= 0")
         if not 0 <= self.sigma_video < math.inf:

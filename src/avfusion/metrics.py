@@ -7,6 +7,7 @@ with the closed-form CCC gradient as its backward rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +27,16 @@ class EvalSummary:
 
 def _moments(x: np.ndarray, y: np.ndarray):
     """(mean of y, covariance, CCC denominator var_x + var_y + (m_x - m_y)^2)
-    of two equal-length contiguous float64 vectors, biased moments."""
-    mx, my = np.mean(x), np.mean(y)
-    dx, dy = x - mx, y - my
-    sxy = np.mean(dx * dy)
-    return my, sxy, np.mean(dx ** 2) + np.mean(dy ** 2) + (mx - my) ** 2
+    of two equal-length contiguous float64 vectors, biased moments; moments
+    beyond the float range raise FloatingPointError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx, my = np.mean(x), np.mean(y)
+        dx, dy = x - mx, y - my
+        sxy = np.mean(dx * dy)
+        denom = np.mean(dx ** 2) + np.mean(dy ** 2) + (mx - my) ** 2
+    if not (math.isfinite(sxy) and math.isfinite(denom)):
+        raise FloatingPointError("ccc: moments overflow the float range")
+    return my, sxy, denom
 
 
 def ccc(x, y) -> float:

@@ -1,8 +1,8 @@
 """Two-branch transformer with cross-modal attention fusion and a two-output head.
 
 Audio and video feature sequences pass through independent self-attention
-encoder branches, which `autodiff.fork_join` runs concurrently on two
-threads, forward and backward; a cross-modal layer attends each branch to the
+encoder branches, which `autodiff.fork_join` runs on whichever thread is
+free, forward and backward; a cross-modal layer attends each branch to the
 other and adds the results back through learnable scalar weights alpha/beta;
 a linear head maps the fused representation to per-frame (valence, arousal).
 """
@@ -179,20 +179,13 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     The inputs stack seq_len-frame sequences row-wise, each processed alone
     (attention never crosses sequences); 0 rows or a partial sequence raise ShapeError.
 
-    `autodiff.fork_join` runs the video encoder on the autodiff worker
-    thread while the calling thread runs the audio encoder; the branches
-    share no param and meet only at the cross-modal fusion, so the result is
-    bitwise that of running them one after the other. The call returns or
-    raises only once both branches have finished, and an error in either
-    branch propagates unchanged (the audio branch's, if both fail).
-    `backward` on a loss of the result runs the video encoder's rules on the
-    worker thread too, while the calling thread runs the audio encoder's,
-    with bitwise the grads of a one-thread pass. Whenever the worker is idle,
-    in the forward and the backward alike, it also runs head chunks of the
-    calling thread's attention calls (the cross-modal fusion's, and the audio
-    encoder's once the video encoder is done), again with bitwise the same
-    results; inference then holds at most one chunk's softmax weights per
-    thread.
+    The encoder branches run through `autodiff.fork_join`, each on whichever
+    thread is free, forward and backward. They share no param and meet only
+    at the cross-modal fusion, so predictions and grads are bitwise those of
+    running them one after the other. An error in either branch propagates
+    unchanged (the audio branch's, if both fail). A free worker also runs
+    head chunks of attention calls; inference then holds at most one chunk's
+    softmax weights per thread.
     """
     rows = _stacked_rows(audio, "model_forward: audio", config.seq_len)
     for name, x, d in (("audio", audio, config.d_audio), ("video", video, config.d_video)):

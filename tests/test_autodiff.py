@@ -142,6 +142,13 @@ def test_layer_norm_zero_gain_gives_bias():
     np.testing.assert_array_equal(out.data, np.tile(bias, (3, 1)))
 
 
+def test_layer_norm_whose_variance_overflows_raises():
+    # finite rows whose squares overflow; the row must not come out as the bias
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="^layer_norm"):
+        ad.layer_norm(ad.Tensor([[1e160, -1e160, 0.0]]), ad.Tensor(np.ones(3)),
+                      ad.Tensor(np.zeros(3)))
+
+
 def test_layer_norm_grad_vs_finite_differences():
     x = ad.Tensor(rand((4, 6), 8), requires_grad=True)
     gain = ad.Tensor(rand(6, 9), requires_grad=True)
@@ -565,9 +572,11 @@ def forked_branches(l, fork=ad.fork_join):
     return square_mean(ad.add(hv, ad.mul(hv, ha)))  # hv read by two calling-thread ops
 
 
-def test_two_thread_graph_runs_the_other_threads_rules_on_the_worker_bitwise(rule_runs):
+def test_two_thread_graph_runs_the_other_threads_rules_on_the_worker_bitwise(rule_runs,
+                                                                            worker_helps):
     want = leaf_grads(lambda l, *_: forked_branches(l, one_thread))
     rule_runs.clear()
+    worker_helps()
     got = leaf_grads(lambda l, *_: forked_branches(l))
     assert_grads_equal(got, want)
     me, worker = threading.get_ident(), worker_thread()
@@ -575,6 +584,44 @@ def test_two_thread_graph_runs_the_other_threads_rules_on_the_worker_bitwise(rul
     assert sorted(op for op, recorded, _ in rule_runs if recorded == worker) == ["matmul", "relu"]
     assert {recorded for _, recorded, _ in rule_runs} == {me, worker}
     assert len(rule_runs) == 8  # each op's rule ran once
+
+
+def test_fork_join_and_its_backward_never_wait_for_a_busy_worker(rule_runs):
+    want = leaf_grads(lambda l, *_: forked_branches(l, one_thread))
+    rule_runs.clear()
+    with worker_held_busy():  # the calling thread runs both branches
+        got = leaf_grads(lambda l, *_: forked_branches(l))
+    assert_grads_equal(got, want)
+    me = threading.get_ident()
+    assert {(recorded, running) for _, recorded, running in rule_runs} == {(me, me)}
+    assert len(rule_runs) == 8  # each op's rule ran once
+
+
+def test_an_error_on_the_calling_thread_keeps_a_branch_not_yet_started_from_running(rule_runs):
+    error, started = ProbeError("calling"), []
+
+    def fail(*_):
+        raise error
+
+    def failing_rule(x):
+        return ad._record("probe", x.data.copy(), (x,), fail)
+
+    leaves = branch_leaves()
+    with worker_held_busy():
+        with pytest.raises(ProbeError) as exc:
+            ad.fork_join(lambda: started.append("there"), fail)
+        assert exc.value is error and started == []
+        hv, ha = ad.fork_join(lambda: branch(leaves["xv"], leaves["wv"]),
+                              lambda: failing_rule(branch(leaves["xa"], leaves["wa"])))
+        loss = square_mean(ad.add(hv, ad.mul(hv, ha)))
+        rule_runs.clear()
+        with pytest.raises(ProbeError) as exc:
+            ad.backward(loss)
+    assert exc.value is error
+    # the probe is the first of the calling thread's rules after the hand-off
+    # of hv's branch, which neither thread then starts
+    assert [op for op, *_ in rule_runs] == ["mean", "mul", "add", "mul", "probe"]
+    assert leaves["wa"].grad is None and leaves["wv"].grad is None
 
 
 @pytest.mark.parametrize("build", [theirs_reads_an_own_output, theirs_reaches_an_own_leaf,
@@ -591,13 +638,15 @@ def test_graph_that_cannot_split_exactly_runs_on_the_calling_thread_bitwise(rule
 
 
 def test_fork_join_branch_goes_to_the_worker_before_the_callers_own_rules_run(rule_runs,
-                                                                              monkeypatch):
+                                                                              monkeypatch,
+                                                                              worker_helps):
     def loss_of(l, fork=ad.fork_join):
         hv, ha = fork(lambda: branch(l["xv"], l["wv"]), lambda: branch(l["xa"], l["wa"]))
         # a postorder traversal reaches hv's stand-in before any of ha's ops
         return ad.tmean(ad.add(ad.mul(ha, hv), hv))
 
     want = leaf_grads(lambda l, *_: loss_of(l, one_thread))
+    worker_helps()  # hv's branch is recorded on the worker
     leaves = branch_leaves()
     loss = loss_of(leaves)
     worker, me = ad._worker, threading.get_ident()
@@ -612,7 +661,7 @@ def test_fork_join_branch_goes_to_the_worker_before_the_callers_own_rules_run(ru
     ad.backward(loss)
     assert_grads_equal({name: leaf.grad for name, leaf in leaves.items() if leaf.requires_grad},
                        want)
-    # the stand-in's rule submits hv's branch as soon as its last consumer ran
+    # reaching the stand-in submits hv's branch as soon as its last consumer ran
     assert [op for op, recorded, _ in rule_runs if recorded == me] == [
         "mean", "add", "mul", "submit", "relu", "matmul"]
 
@@ -624,7 +673,9 @@ class ProbeError(Exception):
 # the slow side's rule is still running when the other side's rule raises
 @pytest.mark.parametrize("failing,slow", [(("calling",), "worker"), (("worker",), "calling"),
                                           (("calling", "worker"), "worker")])
-def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(failing, slow):
+def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(failing, slow,
+                                                                             worker_helps):
+    worker_helps()  # each branch on its own thread, forward and backward
     errors = {side: ProbeError(side) for side in ("calling", "worker")}
     finished = {}
 
@@ -651,8 +702,10 @@ def test_rule_error_on_either_thread_propagates_unwrapped_after_both_finished(fa
     assert all(at <= returned for _, at in finished.values())
 
 
-# a nested fork_join on a thread joined with a timeout, in a child process:
-# a worker waiting on itself could not be stopped, and would hold up the exit
+# a fork_join nested in a `there` that the calling thread's `here` waits to
+# see start on the worker, on a thread joined with a timeout, in a child
+# process: a worker waiting on itself could not be stopped, and would hold up
+# the exit
 NESTED_FORK_JOIN = """
 import os, threading
 import numpy as np
@@ -660,13 +713,20 @@ from avfusion import autodiff as ad
 
 leaf = lambda: ad.Tensor(np.ones(2))
 outcome = ["still waiting after 10 s"]
+started = threading.Event()
+
+def there():
+    started.set()
+    return ad.fork_join(leaf, leaf)[0]
+
+def here():
+    if not started.wait(timeout=10):
+        raise RuntimeError("there did not start on the worker")
+    return leaf()
 
 def nested():
-    try:
-        ad.fork_join(lambda: ad.fork_join(leaf, leaf)[0], leaf)
-        outcome[0] = "returned"
-    except RuntimeError as exc:
-        outcome[0] = str(exc)
+    ad.fork_join(there, here)
+    outcome[0] = "returned"
 
 caller = threading.Thread(target=nested, daemon=True)
 caller.start()
@@ -678,13 +738,12 @@ os._exit(0)
 """
 
 
-def test_fork_join_called_from_its_worker_raises_instead_of_waiting_on_itself():
+def test_fork_join_called_from_its_worker_runs_both_inline():
     env = {"PATH": os.environ.get("PATH", ""),
            "PYTHONPATH": str(Path(ad.__file__).resolve().parent.parent)}
     done = subprocess.run([sys.executable, "-c", NESTED_FORK_JOIN], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.splitlines() == [
-        "fork_join called on its own worker thread, which would wait on itself", "2.0"]
+    assert done.stdout.splitlines() == ["returned", "2.0"]
 
 
 def test_backward_frees_a_two_thread_graph_and_keeps_only_leaf_grads(monkeypatch):
@@ -735,35 +794,13 @@ def attention_and_grads(q, k, v, g, num_heads, block_len):
     return [plain.data, out.data] + [leaf.grad for leaf in leaves]
 
 
-def helped_share(ran):
-    """ad._share whose calling thread waits (up to 10 s) in its first item
-    for the worker to take one; appends the thread of each item run to `ran`."""
-    real = ad._share
-
-    def share(n, work):
-        me, helped = threading.get_ident(), threading.Event()
-
-        def traced(i):
-            ran.append(threading.get_ident())
-            if threading.get_ident() != me:
-                helped.set()
-            elif n > 1:
-                helped.wait(timeout=10)
-            work(i)
-
-        real(n, traced)
-
-    return share
-
-
 # (blocks, block_len, heads, d_model): 5, 16, 20 and 33 head rows, in chunks of 8
 @pytest.mark.parametrize("b,t,h,d", [(5, 7, 1, 3), (4, 6, 4, 8), (10, 3, 2, 4), (11, 5, 3, 6)])
-def test_attention_is_bitwise_the_same_whichever_thread_runs_each_chunk(monkeypatch, b, t, h, d):
+def test_attention_is_bitwise_the_same_whichever_thread_runs_each_chunk(worker_helps, b, t, h, d):
     q, k, v, g = (rand((b * t, d), seed) for seed in range(90, 94))
     with worker_held_busy():  # the calling thread runs every chunk
         want = attention_and_grads(q, k, v, g, h, t)
-    ran = []
-    monkeypatch.setattr(ad, "_share", helped_share(ran))
+    ran = worker_helps()
     got = attention_and_grads(q, k, v, g, h, t)
     for name, x, y in zip(("inference", "out", "dq", "dk", "dv"), got, want):
         np.testing.assert_array_equal(x, y, err_msg=name)

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +561,54 @@ def test_cli_train_on_non_finite_features_exits_2(cli_artifacts, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-finite audio" in err
+
+
+def test_cli_synth_overflowing_clip_length_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n_clips": 1, "clip_seconds": 1e308}))
+    assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.avxd")]) == 2
+    assert capsys.readouterr().err == ("error: clip_seconds must give a finite audio frame "
+                                       "count at 100 fps, got 1e+308\n")
+    assert not (tmp_path / "x.avxd").exists()
+
+
+def assert_exits_2_with_one_line_and_no_warning(argv, capsys, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_cli_train_that_diverges_exits_2(cli_artifacts, tmp_path, capsys):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["train"].update(lr=1e300, epochs=1)  # the second step's params overflow a matmul
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    assert_exits_2_with_one_line_and_no_warning(
+        ["train", "--config", str(config_path), "--data", str(data_path), "--out", str(out)],
+        capsys, "matmul produced non-finite values")
+    assert not out.exists()
+
+
+def test_cli_eval_sweep_on_weights_that_overflow_the_predictions_exits_2(cli_artifacts,
+                                                                       tmp_path, capsys):
+    # f32 weights cannot overflow a float64 forward, whose largest values stay
+    # near 1e194 here; the CCC's squared deviations from them do
+    _, _, data_path, ckpt_path = cli_artifacts
+    params, config = load_checkpoint(ckpt_path)
+    signs = np.random.default_rng(5)
+    for p in params.values():
+        p.data[...] = np.where(signs.random(p.data.shape) < 0.5, -3e38, 3e38)
+    big, out = tmp_path / "big.ckpt", tmp_path / "s.csv"
+    save_checkpoint(params, config, big)
+    assert_exits_2_with_one_line_and_no_warning(
+        ["eval-sweep", "--model", str(big), "--data", str(data_path), "--strategy", "clip_zero",
+         "--modality", "video", "--out", str(out)],
+        capsys, "ccc: moments overflow the float range")
+    assert not out.exists()
 
 
 def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,14 @@ def test_ccc_errors():
         ccc([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="at least 2"):
         ccc([1.0], [2.0])
+    # the overflow raises, not warns, in the metric and the loss alike
+    gold = np.array([[0.5, 0.5], [-0.5, -0.5]])
+    for score in (lambda: ccc([1e200, -1e200], gold[:, 0]),
+                  lambda: ccc_loss(ad.Tensor([[1e200, 0.5], [-1e200, -0.5]]), gold)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="^ccc: moments overflow the float range$"):
+                score()
 
 
 def test_ccc_constant_equal_pairs_convention():

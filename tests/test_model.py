@@ -324,7 +324,9 @@ def _branch_recorder(monkeypatch, delay_video: float = 0.0):
     return calls
 
 
-def test_one_forward_runs_each_branch_once_video_off_the_calling_thread(monkeypatch):
+def test_one_forward_runs_each_branch_once_video_off_the_calling_thread(monkeypatch,
+                                                                      worker_helps):
+    worker_helps()  # the video branch runs on the worker
     calls = _branch_recorder(monkeypatch)
     model_forward(*small_inputs(21), init_params(SMALL, seed=21), SMALL)
     threads = {branch: thread for branch, thread, _, _ in calls}
@@ -334,7 +336,9 @@ def test_one_forward_runs_each_branch_once_video_off_the_calling_thread(monkeypa
 
 
 @pytest.mark.parametrize("bad_branch", ["video", "audio"])
-def test_branch_error_propagates_once_both_branches_finished(monkeypatch, bad_branch):
+def test_branch_error_propagates_once_both_branches_finished(monkeypatch, worker_helps,
+                                                             bad_branch):
+    worker_helps()  # the video branch runs on the worker, so both start
     params = init_params(SMALL, seed=22)
     params[f"{bad_branch}.in_proj.W"].data[0, 0] = np.nan
     calls = _branch_recorder(monkeypatch, delay_video=0.2)
@@ -403,7 +407,9 @@ def _training_step(params, inputs):
     return {name: p.grad for name, p in params.items()}
 
 
-def test_video_encoder_rules_run_on_the_worker_and_the_rest_on_the_calling_thread(monkeypatch):
+def test_video_encoder_rules_run_on_the_worker_and_the_rest_on_the_calling_thread(monkeypatch,
+                                                                                   worker_helps):
+    worker_helps()  # the video branch runs on the worker, forward and backward
     real_encoder, real_record = model.encoder_forward, ad._record
     part = threading.local()  # the model part each thread is recording
     recorded, ran = [], []
@@ -439,26 +445,35 @@ def test_a_training_step_meets_the_fork_join_precondition(monkeypatch):
     # fork_join gives one-thread grads only when its `there` branch shares no
     # grad-requiring input with the rest of the graph and nothing but its
     # stand-in reads the branch's outputs; pinned here for its one caller
-    real_record = ad._record
-    recorded_on = {}  # id(op node) -> (op node, recording thread)
+    real_encoder, real_record = model.encoder_forward, ad._record
+    part = threading.local()  # the encoder branch each thread is recording
+    theirs = {}  # id(op node) -> op node, for each op the video encoder records
+
+    def encoder(x, params, branch, *args):
+        part.name = branch
+        try:
+            return real_encoder(x, params, branch, *args)
+        finally:
+            part.name = None
 
     def record(*args, **kwargs):
         out = real_record(*args, **kwargs)
-        recorded_on[id(out._node)] = (out._node, threading.get_ident())
+        if getattr(part, "name", None) == "video":
+            theirs[id(out._node)] = out._node
         return out
 
+    monkeypatch.setattr(model, "encoder_forward", encoder)
     monkeypatch.setattr(ad, "_record", record)
     params = init_params(DEEP, seed=30)
     audio, video = small_inputs(30, DEEP)
     gold = np.random.default_rng(30).uniform(-1, 1, (DEEP.seq_len, 2))
     loss = ccc_loss(model_forward(audio, video, params, DEEP), gold)
     name_of = {id(p): name for name, p in params.items()}
-    theirs = {key for key, (_, thread) in recorded_on.items() if thread != threading.get_ident()}
     their_leaves = set()
-    for key in theirs:
-        for parent in recorded_on[key][0].parents:
+    for node in theirs.values():
+        for parent in node.parents:
             if parent is not None and id(parent) not in theirs:
-                assert isinstance(parent, ad.Tensor), "worker branch reads a caller's op"
+                assert isinstance(parent, ad.Tensor), "video branch reads an op outside it"
                 their_leaves.add(name_of.get(id(parent)))
     assert their_leaves == {name for name in params if name.startswith("video.")}
     tape = ad._build_tape(loss._node)
