@@ -20,13 +20,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from avfusion import harness
+from avfusion.augment import STRATEGIES
 from avfusion.data import generate_synthetic, save_dataset
 from avfusion.harness import DEFAULT_GRIDS, run_config_from_dict
 from avfusion.model import save_checkpoint
 
 FULL_DATA = {"n_clips": 200, "clip_seconds": 30.0, "d_audio_lld": 16, "d_video": 32, "seed": 7}
 QUICK_DATA = {"n_clips": 24, "clip_seconds": 10.0, "d_audio_lld": 8, "d_video": 12, "seed": 7}
-TRAIN_STRATEGIES = ("none", "clip_zero", "frame_zero", "frame_repeat")
 SWEEP_SEED = 1234
 
 
@@ -62,7 +62,12 @@ def main() -> int:
             return 2
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file, or a path through one
+        print(f"error: --out: cannot create directory {str(out)!r}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     data_cfg = QUICK_DATA if args.quick else FULL_DATA
     epochs = 2 if args.quick else args.epochs
 
@@ -75,7 +80,7 @@ def main() -> int:
     print(f"{len(prep.train_windows)} train windows, {len(prep.val_windows)} val windows")
 
     trained = {}
-    for strategy in TRAIN_STRATEGIES:
+    for strategy in STRATEGIES:
         cfg = run_config(strategy, args.seed, epochs)
         (out / f"config_{strategy}.json").write_text(json.dumps(cfg, indent=2))
         t0 = time.time()
@@ -86,7 +91,7 @@ def main() -> int:
         trained[strategy] = result
 
     for modality in ("video", "audio"):
-        for eval_strategy in ("clip_zero", "frame_zero", "frame_repeat"):
+        for eval_strategy in (s for s in STRATEGIES if s != "none"):
             tables = {}
             for strategy, result in trained.items():
                 rows = harness.run_sweep(result.params, result.config, prep.val_windows,

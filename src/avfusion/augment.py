@@ -1,9 +1,18 @@
 """Missing-modality corruptions: clip zeroing, frame zeroing, frame repetition.
 
-All three strategies are pure functions of (sequence, probability, rng). The
-frame-level strategies draw one uniform per frame in index order and differ
-only in how selected frames are filled, so a shared (seed, index) always
-selects the same frame set.
+Every strategy is a missing-frame mask plus one fill, a pure function of
+(sequence, spec, stream index):
+
+- The mask comes from `missing_frames`, drawn from the stream derived from
+  (spec.seed, stream index). `clip_zero` draws one uniform and repeats its
+  verdict over all frames. The frame-level strategies draw one uniform per
+  frame in index order, so a shared (seed, index) always selects the same
+  frame set whichever of them is asked for.
+- The fill: with no frame missing the input itself is returned, and with every
+  frame missing a fresh all-zero array, since no retained frame is left to
+  repeat. Otherwise `frame_repeat` carries the last retained frame forward
+  (`carry_forward_fill`) and the other strategies zero the missing frames of
+  a copy. The input is never written.
 """
 
 from __future__ import annotations
@@ -36,25 +45,11 @@ class AblationSpec:
             raise ValueError(f"ablation.seed must be >= 0, got {self.seed}")
 
 
-def clip_zero(seq: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero the whole sequence with probability p, else pass it through."""
-    if rng.random() < p:
-        return np.zeros_like(seq)
-    return seq
-
-
-def _frame_mask(t: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    return rng.random(t) < p
-
-
-def frame_zero(seq: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Independently replace each frame by the zero vector with probability p."""
-    mask = _frame_mask(seq.shape[0], p, rng)
-    if not mask.any():
-        return seq
-    out = seq.copy()
-    out[mask] = 0.0
-    return out
+def missing_frames(spec: AblationSpec, t: int, rng: np.random.Generator) -> np.ndarray:
+    """The boolean mask of the t frames that `spec` removes, drawn from rng."""
+    if spec.strategy == "clip_zero":
+        return np.full(t, rng.random() < spec.probability)
+    return rng.random(t) < spec.probability
 
 
 def carry_forward_fill(seq: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -67,20 +62,17 @@ def carry_forward_fill(seq: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def frame_repeat(seq: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Independently replace each frame by a carry-forward copy with probability p."""
-    mask = _frame_mask(seq.shape[0], p, rng)
-    if not mask.any():
-        return seq
-    return carry_forward_fill(seq, mask)
-
-
-_DISPATCH = {"clip_zero": clip_zero, "frame_zero": frame_zero, "frame_repeat": frame_repeat}
-
-
 def ablate_sequence(seq: np.ndarray, spec: AblationSpec, stream_index: int) -> np.ndarray:
     """Corrupt one sequence using the stream derived from (spec.seed, stream_index)."""
     if spec.strategy == "none":
         return seq
-    return _DISPATCH[spec.strategy](seq, spec.probability, derive_rng(spec.seed, stream_index))
-
+    mask = missing_frames(spec, seq.shape[0], derive_rng(spec.seed, stream_index))
+    if not mask.any():
+        return seq
+    if mask.all():
+        return np.zeros_like(seq)
+    if spec.strategy == "frame_repeat":
+        return carry_forward_fill(seq, mask)
+    out = seq.copy()
+    out[mask] = 0.0
+    return out

@@ -11,26 +11,14 @@ import numpy as np
 
 
 class FileFormatError(Exception):
-    """Base class for malformed binary files."""
-
-
-class BadMagicError(FileFormatError):
-    pass
-
-
-class VersionMismatchError(FileFormatError):
-    pass
-
-
-class TruncatedFileError(FileFormatError):
-    pass
+    """A malformed binary file; the message names what is wrong."""
 
 
 def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     # checked before reading, so an oversized count never allocates the request
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
-        raise TruncatedFileError(f"truncated file: {what} needs {n} bytes, {left} left")
+        raise FileFormatError(f"truncated file: {what} needs {n} bytes, {left} left")
     return f.read(n)
 
 
@@ -44,13 +32,13 @@ def expect_end(f: BinaryIO, what: str) -> None:
 def expect_magic(f: BinaryIO, magic: bytes) -> None:
     got = f.read(len(magic))
     if got != magic:
-        raise BadMagicError(f"bad magic: expected {magic!r}, got {got!r}")
+        raise FileFormatError(f"bad magic: expected {magic!r}, got {got!r}")
 
 
 def expect_version(f: BinaryIO, version: int) -> None:
     got = read_u32(f, "version")
     if got != version:
-        raise VersionMismatchError(f"version mismatch: expected {version}, got {got}")
+        raise FileFormatError(f"version mismatch: expected {version}, got {got}")
 
 
 def read_u8(f: BinaryIO, what: str) -> int:

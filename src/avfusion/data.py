@@ -304,8 +304,8 @@ def window_clips(clips: list[SyncedClip], seq_len: int, evaluation: bool = False
 # dataset file format: magic "AVXD", u32 version, u32 n_clips; per clip:
 # u32 id, u32 fps_v, u32 T_v, u32 D_v, u32 fps_a, u32 T_a, u32 D_a,
 # f32 video[T_v x D_v], f32 audio[T_a x D_a], f32 labels[T_v x 2]; nothing
-# after the last clip. fps_v/fps_a must be FPS_VIDEO/FPS_AUDIO. Row-major,
-# little-endian.
+# after the last clip. fps_v/fps_a must be FPS_VIDEO/FPS_AUDIO; T_v, T_a, D_v
+# and D_a must be >= 1. Row-major, little-endian.
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -343,10 +343,14 @@ def load_dataset(path) -> Dataset:
                 if fps != want:
                     raise binio.FileFormatError(
                         f"unsupported rate: clip {clip_id} has {name}={fps}, expected {want}")
-            for stream, frames in (("video", t_v), ("audio", t_a)):
+            for stream, frames, name, width in (("video", t_v, "D_v", d_v),
+                                                ("audio", t_a, "D_a", d_a)):
                 if frames == 0:
                     raise binio.FileFormatError(
                         f"invariant violation: clip {clip_id} has an empty {stream} stream")
+                if width == 0:
+                    raise binio.FileFormatError(
+                        f"invariant violation: clip {clip_id} has {name}=0")
             if clips:  # every clip feeds one model, so all share clip 0's feature widths
                 first = clips[0]
                 for name, width, want in (("D_v", d_v, first.video.shape[1]),

@@ -481,7 +481,7 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
     no sweep's output and raises ReportError naming the row. So does a model
     label (a single-model CSV's file stem) holding a comma or line break,
-    which the merged format cannot write.
+    which the merged format cannot write, and a header with no rows under it.
     """
     lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
@@ -495,7 +495,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             # path is quoted so that the message stays on one line
             raise ReportError(f"{str(path)!r}: model label {labels[0]!r} contains a comma "
                               "or line break")
-    elif header[:3] == ["strategy", "modality", "probability"] and len(header) % 2 == 1:
+    elif (header[:3] == ["strategy", "modality", "probability"]
+          and len(header) > 3 and len(header) % 2 == 1):  # at least one model's columns
         labels, first = [], 3
         for valence, arousal in zip(header[3::2], header[4::2]):
             label = valence[: -len("_ccc_valence")]
@@ -506,6 +507,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             raise ReportError(f"{path}: duplicate model label in header {lines[0]!r}")
     else:
         raise ReportError(f"{path}: unrecognized CSV header {lines[0]!r}")
+    if len(lines) == 1:  # every sweep writes at least one row
+        raise ReportError(f"{path}: no rows")
     acc: dict[str, dict[tuple, list[tuple[float, float]]]] = {label: {} for label in labels}
     seen = set()
     for ln in lines[1:]:

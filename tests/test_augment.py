@@ -9,9 +9,7 @@ from avfusion.augment import (
     AblationSpec,
     ablate_sequence,
     carry_forward_fill,
-    clip_zero,
-    frame_repeat,
-    frame_zero,
+    missing_frames,
 )
 from avfusion.data import Window, stack_context
 from avfusion.harness import corrupt_windows
@@ -37,25 +35,30 @@ def test_spec_validation():
 
 def test_clip_zero_extremes():
     seq = np.random.default_rng(1).normal(size=(10, 4))
-    np.testing.assert_array_equal(clip_zero(seq, 0.0, derive_rng(0, 0)), seq)
-    np.testing.assert_array_equal(clip_zero(seq, 1.0, derive_rng(0, 0)), np.zeros((10, 4)))
+    np.testing.assert_array_equal(ablate_sequence(seq, AblationSpec("clip_zero", "video", 0.0), 0),
+                                  seq)
+    np.testing.assert_array_equal(ablate_sequence(seq, AblationSpec("clip_zero", "video", 1.0), 0),
+                                  np.zeros((10, 4)))
 
 
 def test_clip_zero_rate():
     seq = np.ones((2, 2))
-    zeroed = sum(not clip_zero(seq, 0.5, derive_rng(7, i)).any() for i in range(100_000))
+    spec = AblationSpec("clip_zero", "video", 0.5, seed=7)
+    zeroed = sum(not ablate_sequence(seq, spec, i).any() for i in range(100_000))
     assert abs(zeroed / 100_000 - 0.5) < 0.01
 
 
 def test_frame_zero_extremes():
     seq = np.random.default_rng(2).normal(size=(10, 4))
-    np.testing.assert_array_equal(frame_zero(seq, 0.0, derive_rng(0, 0)), seq)
-    np.testing.assert_array_equal(frame_zero(seq, 1.0, derive_rng(0, 0)), np.zeros((10, 4)))
+    np.testing.assert_array_equal(
+        ablate_sequence(seq, AblationSpec("frame_zero", "video", 0.0), 0), seq)
+    np.testing.assert_array_equal(
+        ablate_sequence(seq, AblationSpec("frame_zero", "video", 1.0), 0), np.zeros((10, 4)))
 
 
 def test_frame_zero_rate():
     seq = np.ones((100_000, 1))
-    out = frame_zero(seq, 0.9, derive_rng(3, 0))
+    out = ablate_sequence(seq, AblationSpec("frame_zero", "video", 0.9, seed=3), 0)
     assert abs(np.mean(out == 0.0) - 0.9) < 0.01
 
 
@@ -69,23 +72,57 @@ def test_carry_forward_hand_cases():
 
 def test_frame_repeat_p1_is_all_zero():
     seq = np.random.default_rng(4).normal(size=(50, 3))
-    np.testing.assert_array_equal(frame_repeat(seq, 1.0, derive_rng(0, 0)),
-                                  np.zeros((50, 3)))
+    np.testing.assert_array_equal(
+        ablate_sequence(seq, AblationSpec("frame_repeat", "video", 1.0), 0), np.zeros((50, 3)))
 
 
 def test_frame_strategies_select_same_frames():
     seq = np.random.default_rng(5).normal(size=(200, 3)) + 5.0  # no zero rows
     for p in (0.3, 0.7):
-        zeroed = frame_zero(seq, p, derive_rng(11, 9))
-        repeated = frame_repeat(seq, p, derive_rng(11, 9))
+        zeroed = ablate_sequence(seq, AblationSpec("frame_zero", "video", p, seed=11), 9)
+        repeated = ablate_sequence(seq, AblationSpec("frame_repeat", "video", p, seed=11), 9)
         mask = np.all(zeroed == 0.0, axis=1)
         np.testing.assert_array_equal(repeated, carry_forward_fill(seq, mask))
+        np.testing.assert_array_equal(
+            mask, missing_frames(AblationSpec("frame_repeat", "video", p), 200, derive_rng(11, 9)))
 
 
 def test_vectorized_draws_match_per_frame_draws():
     # the frame mask contract: draws happen frame-by-frame in index order
     a, b = derive_rng(13, 2), derive_rng(13, 2)
     np.testing.assert_array_equal(a.random(50), np.array([b.random() for _ in range(50)]))
+    spec, per_frame = AblationSpec("frame_zero", "video", 0.4), derive_rng(13, 2)
+    np.testing.assert_array_equal(missing_frames(spec, 50, derive_rng(13, 2)),
+                                  np.array([per_frame.random() < 0.4 for _ in range(50)]))
+
+
+def test_clip_zero_mask_repeats_one_draw_over_every_frame():
+    spec = AblationSpec("clip_zero", "video", 0.5)
+    for i in range(20):
+        np.testing.assert_array_equal(missing_frames(spec, 7, derive_rng(13, i)),
+                                      np.full(7, derive_rng(13, i).random() < 0.5))
+
+
+@pytest.mark.parametrize("strategy", ["clip_zero", "frame_zero", "frame_repeat"])
+def test_missing_set_only_grows_as_p_rises(strategy):
+    masks = [missing_frames(AblationSpec(strategy, "video", p), 64, derive_rng(21, 3))
+             for p in np.linspace(0.0, 1.0, 41)]
+    assert not masks[0].any() and masks[-1].all()
+    for smaller, larger in zip(masks, masks[1:]):
+        assert not (smaller & ~larger).any()
+
+
+@pytest.mark.parametrize("strategy", ["clip_zero", "frame_zero", "frame_repeat"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_p0_returns_the_input_itself_and_p1_returns_zeros(strategy, stacked):
+    seq = np.random.default_rng(8).normal(size=(40, 3))
+    if stacked:
+        seq = stack_context(seq)
+    for stream in range(4):
+        assert ablate_sequence(seq, AblationSpec(strategy, "audio", 0.0, seed=5), stream) is seq
+        got = ablate_sequence(seq, AblationSpec(strategy, "audio", 1.0, seed=5), stream)
+        assert got.shape == seq.shape and not got.any()
+        assert got.flags.writeable and not np.shares_memory(got, seq)
 
 
 def test_apply_none_is_bit_identity():
@@ -160,7 +197,7 @@ def test_ablation_on_a_stacked_audio_view_matches_a_copy(strategy, p):
 def test_frame_repeat_on_a_stacked_audio_view_returns_a_fresh_array():
     view = stack_context(np.random.default_rng(6).normal(size=(40, 3)))
     before = view.copy()
-    got = frame_repeat(view, 0.5, derive_rng(12, 0))
+    got = ablate_sequence(view, AblationSpec("frame_repeat", "audio", 0.5, seed=12), 0)
     assert got.flags.writeable and not np.shares_memory(got, view)
     assert not np.array_equal(got, view)  # frames were replaced, so carry_forward_fill ran
     np.testing.assert_array_equal(view, before)

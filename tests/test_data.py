@@ -422,6 +422,18 @@ def test_dataset_mixed_feature_widths_name_clip_field_and_widths(tmp_path, field
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field,stream", [("D_v", "video"), ("D_a", "audio")])
+def test_dataset_zero_feature_width_names_clip_and_field(tmp_path, field, stream):
+    clip = ClipRecord(id=3, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
+                      labels=np.zeros((3, 2)))
+    setattr(clip, stream, getattr(clip, stream)[:, :0])
+    path = tmp_path / "narrow.avxd"
+    save_dataset(Dataset([clip]), path)
+    with pytest.raises(binio.FileFormatError,
+                       match=f"^invariant violation: clip 3 has {field}=0$"):
+        load_dataset(path)
+
+
 def _one_clip_file(path, t_v, d_v):
     """A valid one-clip dataset file whose header then claims T_v x D_v video."""
     clip = ClipRecord(id=0, audio=np.zeros((10, 2)), video=np.zeros((3, 2)),
@@ -436,8 +448,9 @@ def _one_clip_file(path, t_v, d_v):
 def test_dataset_oversized_dims_name_the_field(tmp_path):
     path = tmp_path / "huge.avxd"
     _one_clip_file(path, 2**32 - 1, 2**32 - 1)
-    with pytest.raises(binio.TruncatedFileError,
-                       match=rf"clip 0 video \(T_v x D_v\) needs {4 * (2**32 - 1)**2} bytes"):
+    with pytest.raises(binio.FileFormatError,
+                       match=(r"^truncated file: clip 0 video \(T_v x D_v\) "
+                              rf"needs {4 * (2**32 - 1)**2} bytes")):
         load_dataset(path)
 
 
@@ -445,8 +458,9 @@ def test_dataset_count_just_past_end_of_file(tmp_path):
     path = tmp_path / "over.avxd"
     left = _one_clip_file(path, 1, 1)
     _one_clip_file(path, left // 4 + 1, 1)
-    with pytest.raises(binio.TruncatedFileError,
-                       match=rf"\(T_v x D_v\) needs {4 * (left // 4 + 1)} bytes, {left} left"):
+    with pytest.raises(binio.FileFormatError,
+                       match=(r"^truncated file: clip 0 video \(T_v x D_v\) "
+                              rf"needs {4 * (left // 4 + 1)} bytes, {left} left")):
         load_dataset(path)
 
 
@@ -456,7 +470,7 @@ def test_dataset_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"NOPE"
     path.write_bytes(bytes(raw))
-    with pytest.raises(binio.BadMagicError):
+    with pytest.raises(binio.FileFormatError, match=r"^bad magic: expected b'AVXD', got b'NOPE'$"):
         load_dataset(path)
 
 
@@ -466,7 +480,7 @@ def test_dataset_version_mismatch(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 42)
     path.write_bytes(bytes(raw))
-    with pytest.raises(binio.VersionMismatchError):
+    with pytest.raises(binio.FileFormatError, match=r"^version mismatch: expected 1, got 42$"):
         load_dataset(path)
 
 
@@ -475,7 +489,7 @@ def test_dataset_truncated(tmp_path):
     save_dataset(generate_synthetic(TINY), path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) - 100])
-    with pytest.raises(binio.TruncatedFileError):
+    with pytest.raises(binio.FileFormatError, match=r"^truncated file: "):
         load_dataset(path)
 
 

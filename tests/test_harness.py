@@ -657,6 +657,27 @@ def test_cli_train_on_an_empty_stream_exits_2(cli_artifacts, tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("command", ["train", "eval-sweep"])
+@pytest.mark.parametrize("stream,field", [("audio", "D_a"), ("video", "D_v")])
+def test_cli_on_a_zero_width_stream_exits_2(cli_artifacts, tmp_path, capsys, command, stream,
+                                            field):
+    _, config_path, _, ckpt_path = cli_artifacts
+    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    for clip in dataset.clips:
+        setattr(clip, stream, getattr(clip, stream)[:, :0])
+    data = tmp_path / "narrow.avxd"
+    save_dataset(dataset, data)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(config_path), "--data", str(data), "--out", str(out)]
+    else:
+        argv = ["eval-sweep", "--model", str(ckpt_path), "--data", str(data),
+                "--strategy", "clip_zero", "--modality", "video", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: invariant violation: clip 0 has {field}=0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval-sweep"])
 def test_cli_input_with_bytes_after_its_last_record_exits_2(cli_artifacts, tmp_path, capsys,
                                                             command):
     _, config_path, data_path, ckpt_path = cli_artifacts
@@ -684,6 +705,20 @@ def test_cli_report_short_merged_row_exits_2(tmp_path, capsys):
     assert main(["report", str(merged), "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "malformed row" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("strategy,modality,probability,seed,ccc_valence,ccc_arousal\n", "no rows"),
+    ("strategy,modality,probability,m_ccc_valence,m_ccc_arousal\n", "no rows"),
+    ("strategy,modality,probability\nclip_zero,video,1.0\n",  # a merged CSV of no model
+     "unrecognized CSV header 'strategy,modality,probability'"),
+])
+def test_cli_report_csv_without_results_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "e.csv"
+    path.write_text(text)
+    assert main(["report", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("row,message", [

@@ -63,13 +63,19 @@ def test_quick_study_output_is_byte_identical(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
     (["--epochs", "0"], "--epochs must be >= 1, got 0"),
+    # the last --out wins: a file, and a path through that file
+    (["--out", "{file}"], "--out: cannot create directory '{file}': File exists"),
+    (["--out", "{file}/sub"], "--out: cannot create directory '{file}/sub': Not a directory"),
 ])
 def test_study_rejects_a_bad_seed_or_epoch_count_before_writing(tmp_path, argv, message):
-    out = tmp_path / "study"
+    out, file = tmp_path / "study", tmp_path / "file"
+    file.write_text("kept")
+    argv = [arg.format(file=file) for arg in argv]
     done = subprocess.run([sys.executable, str(SCRIPT), "--out", str(out), *argv],
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr, done.stdout) == (2, f"error: {message}\n", "")
-    assert not out.exists()
+    assert (done.returncode, done.stderr, done.stdout) == (
+        2, f"error: {message.format(file=file)}\n", "")
+    assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
 def test_progress_line_reports_the_best_epochs_val_ccc():
