@@ -14,11 +14,15 @@ class FileFormatError(Exception):
     """A malformed binary file; the message names what is wrong."""
 
 
-def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+def expect_bytes(f: BinaryIO, n: int, what: str) -> None:
     # checked before reading, so an oversized count never allocates the request
     left = os.fstat(f.fileno()).st_size - f.tell()
     if n > left:
         raise FileFormatError(f"truncated file: {what} needs {n} bytes, {left} left")
+
+
+def read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    expect_bytes(f, n, what)
     return f.read(n)
 
 

@@ -177,9 +177,11 @@ def main(argv=None) -> int:
         return EXIT_DIMENSION_MISMATCH
     except (FileFormatError, OSError, ValueError, MemoryError, FloatingPointError) as exc:
         # ValueError covers ConfigError and ReportError; MemoryError is numpy
-        # refusing an array too large for this machine (e.g. a huge d_model);
+        # refusing an array too large for this machine (e.g. a huge d_model),
+        # or Python running out of memory, which raises it with no text;
         # FloatingPointError is a value out of the float range (e.g. a huge lr)
-        print(f"error: {exc}", file=sys.stderr)
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else repr(exc))
+        print(f"error: {text}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

@@ -9,9 +9,12 @@ AblationSpec, SyntheticConfig; ModelConfig's architecture fields for the
 `model` dict), its range checks are that dataclass's `__post_init__`, and
 one JSON reader serves `load_run_config` and `load_synthetic_config`.
 
-Everything here is deterministic given the config seeds: shuffling, ablation
-masks, and sweep corruption all draw from derived RNG streams keyed by stable
-indices (epoch, window position), never by wall clock or iteration order.
+Everything here is deterministic given the config seeds: shuffling and
+corruption draw from derived RNG streams keyed by stable indices, never by
+wall clock or iteration order. Windows become model input only in
+`corrupt_windows`: per training batch, each window's stream keyed by its
+train-window index (seeds mixed with the epoch), and per evaluation chunk,
+each keyed by its global position among the evaluated windows.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ DEFAULT_GRIDS = {
     "frame_repeat": (1.0, 0.95, 0.90, 0.85, 0.0),
     "none": (0.0,),
 }
+NO_ABLATION = AblationSpec("none", probability=0.0)  # a run config's default
 
 
 class ConfigError(ValueError):
@@ -92,7 +96,7 @@ class SplitFractions:
 class RunConfig:
     train: TrainParams
     model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
-    ablation: AblationSpec = AblationSpec("none", probability=0.0)
+    ablation: AblationSpec = NO_ABLATION
     data: SyntheticConfig | None = None
     data_path: str | None = None
     splits: SplitFractions = field(default_factory=SplitFractions)
@@ -278,30 +282,33 @@ class TrainResult:
 _EVAL_CHUNK = 32  # windows per batched inference call
 
 
-def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window]) -> EvalSummary:
-    """Global CCC over every scored frame of the given windows."""
+def corrupt_windows(windows: list[Window], spec: AblationSpec, streams) -> tuple[np.ndarray, ...]:
+    """The windows' audio and video stacked row-wise, with spec's modality of
+    window j corrupted from the stream streams[j]; the windows are not written."""
+    audios, videos = [w.audio for w in windows], [w.video for w in windows]
+    target = audios if spec.modality == "audio" else videos
+    for j, stream in enumerate(streams):
+        target[j] = ablate_sequence(target[j], spec, int(stream))
+    return np.concatenate(audios), np.concatenate(videos)
+
+
+def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window],
+                     spec: AblationSpec = NO_ABLATION) -> EvalSummary:
+    """Global CCC over every scored frame of the given windows, with spec's
+    modality corrupted one chunk of windows at a time; window i's stream is
+    its position i in `windows`, whatever chunk it falls in."""
     # zero-copy views without grad: inference records no graph whatever params it gets
     params = {name: ad.Tensor(p.data) for name, p in params.items()}
     preds, golds = [], []
     t = config.seq_len
     for at in range(0, len(windows), _EVAL_CHUNK):
         chunk = windows[at:at + _EVAL_CHUNK]
-        audio = np.concatenate([w.audio for w in chunk])
-        video = np.concatenate([w.video for w in chunk])
+        audio, video = corrupt_windows(chunk, spec, range(at, at + len(chunk)))
         out = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config).data
         for i, w in enumerate(chunk):
             preds.append(out[i * t + w.score_from:(i + 1) * t])
             golds.append(w.labels[w.score_from:])
     return eval_summary(np.concatenate(preds), np.concatenate(golds))
-
-
-def _ablated_window_inputs(w: Window, spec: AblationSpec, stream_index: int):
-    audio, video = w.audio, w.video
-    if spec.modality == "audio":
-        audio = ablate_sequence(audio, spec, stream_index)
-    else:
-        video = ablate_sequence(video, spec, stream_index)
-    return audio, video
 
 
 def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
@@ -319,16 +326,10 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
         losses = []
         for at in range(0, len(order), run.train.batch_size):
             batch = order[at:at + run.train.batch_size]
-            audios, videos, golds = [], [], []
-            for widx in batch:
-                w = prep.train_windows[widx]
-                audio, video = _ablated_window_inputs(w, epoch_spec, int(widx))
-                audios.append(audio)
-                videos.append(video)
-                golds.append(w.labels)
-            pred = model_forward(ad.Tensor(np.concatenate(audios)),
-                                 ad.Tensor(np.concatenate(videos)), params, config)
-            loss = ccc_loss(pred, np.concatenate(golds))
+            windows = [prep.train_windows[widx] for widx in batch]
+            audio, video = corrupt_windows(windows, epoch_spec, batch)
+            pred = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config)
+            loss = ccc_loss(pred, np.concatenate([w.labels for w in windows]))
             ad.backward(loss)
             ad.adam_step(plist, state, run.train.lr)
             losses.append(float(loss.data))
@@ -368,21 +369,12 @@ class SweepResult:
     ccc_arousal: float
 
 
-def corrupt_windows(windows: list[Window], spec: AblationSpec) -> list[Window]:
-    """Corrupt each window's target modality; streams keyed by window position."""
-    out = []
-    for i, w in enumerate(windows):
-        audio, video = _ablated_window_inputs(w, spec, i)
-        out.append(replace(w, audio=audio, video=video))
-    return out
-
-
 def run_sweep(params: dict, config: ModelConfig, val_windows: list[Window],
               strategy: str, modality: str, probs: list[float], seed: int) -> list[SweepResult]:
     results = []
     for p in probs:
         spec = AblationSpec(strategy, modality, float(p), seed)
-        summary = evaluate_windows(params, config, corrupt_windows(val_windows, spec))
+        summary = evaluate_windows(params, config, val_windows, spec)
         results.append(SweepResult(strategy, modality, float(p), seed,
                                    summary.ccc_valence, summary.ccc_arousal))
     return results
@@ -439,16 +431,13 @@ def gradcheck(seed: int) -> GradCheckReport:
     video = rng.uniform(-1.0, 1.0, (config.seq_len, config.d_video))
     gold = rng.uniform(-1.0, 1.0, (config.seq_len, 2))
 
-    def loss_value() -> float:
-        pred = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config)
-        return float(ccc_loss(pred, gold).data)
+    def loss() -> ad.Tensor:
+        return ccc_loss(model_forward(ad.Tensor(audio), ad.Tensor(video), params, config), gold)
 
-    pred = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config)
-    ad.backward(ccc_loss(pred, gold))
-
+    ad.backward(loss())
     worst_err, worst_name = 0.0, ""
     for name, p in params.items():
-        err = rel_err(p.grad, finite_diff_grad(loss_value, p.data))
+        err = rel_err(p.grad, finite_diff_grad(lambda: float(loss().data), p.data))
         if err > worst_err:
             worst_err, worst_name = float(err), name
     return GradCheckReport(worst_err < GRADCHECK_TOLERANCE, worst_err, worst_name)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -59,44 +60,41 @@ def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Canonical parameter name -> shape map; also fixes the creation order."""
+def param_shapes(config: ModelConfig):
+    """(name, shape) of every parameter, in the canonical creation order."""
     d, ff = config.d_model, config.ffn_mult * config.d_model
-    shapes: dict[str, tuple[int, ...]] = {}
     for branch, d_in in (("audio", config.d_audio), ("video", config.d_video)):
-        shapes[f"{branch}.in_proj.W"] = (d_in, d)
-        shapes[f"{branch}.in_proj.b"] = (d,)
+        yield f"{branch}.in_proj.W", (d_in, d)
+        yield f"{branch}.in_proj.b", (d,)
         for i in range(config.num_layers):
             pre = f"{branch}.layers.{i}"
             for w in ("Wq", "Wk", "Wv", "Wo"):
-                shapes[f"{pre}.attn.{w}"] = (d, d)
-            shapes[f"{pre}.ln1.gain"] = (d,)
-            shapes[f"{pre}.ln1.bias"] = (d,)
-            shapes[f"{pre}.ffn.W1"] = (d, ff)
-            shapes[f"{pre}.ffn.b1"] = (ff,)
-            shapes[f"{pre}.ffn.W2"] = (ff, d)
-            shapes[f"{pre}.ffn.b2"] = (d,)
-            shapes[f"{pre}.ln2.gain"] = (d,)
-            shapes[f"{pre}.ln2.bias"] = (d,)
+                yield f"{pre}.attn.{w}", (d, d)
+            yield f"{pre}.ln1.gain", (d,)
+            yield f"{pre}.ln1.bias", (d,)
+            yield f"{pre}.ffn.W1", (d, ff)
+            yield f"{pre}.ffn.b1", (ff,)
+            yield f"{pre}.ffn.W2", (ff, d)
+            yield f"{pre}.ffn.b2", (d,)
+            yield f"{pre}.ln2.gain", (d,)
+            yield f"{pre}.ln2.bias", (d,)
     for side in ("audio", "video"):
         for w in ("Wq", "Wk", "Wv", "Wo"):
-            shapes[f"cross.{side}.attn.{w}"] = (d, d)
-    shapes["fusion.alpha"] = ()
-    shapes["fusion.beta"] = ()
-    shapes["head.W"] = (d, 2)
-    shapes["head.b"] = (2,)
-    return shapes
+            yield f"cross.{side}.attn.{w}", (d, d)
+    yield "fusion.alpha", ()
+    yield "fusion.beta", ()
+    yield "head.W", (d, 2)
+    yield "head.b", (2,)
 
 
 def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """Glorot-uniform weights, zero biases, unit layer-norm gains, alpha=beta=1."""
     rng = np.random.default_rng(seed)
     params: ParameterSet = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith((".gain",)) :
+    # the whole map first: a model too large for memory fails in one large allocation
+    for name, shape in dict(param_shapes(config)).items():
+        if name.endswith(".gain") or name in ("fusion.alpha", "fusion.beta"):
             data = np.ones(shape)
-        elif name in ("fusion.alpha", "fusion.beta"):
-            data = np.asarray(1.0)
         elif len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             data = rng.uniform(-limit, limit, shape)
@@ -240,7 +238,12 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             config = ModelConfig(**json.loads(cfg_raw.decode("utf-8")))
         except (ValueError, TypeError) as exc:
             raise binio.FileFormatError(f"invalid checkpoint config: {exc}") from exc
-        expected = param_shapes(config)
+        need, expected = 4, {}  # 4: the u32 param count
+        for name, shape in param_shapes(config):  # stops once past the file's size, so a
+            # tiny file whose config claims a huge model never builds that model's map
+            need += 3 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape)
+            binio.expect_bytes(f, need, "the model its config describes")
+            expected[name] = shape
         n = binio.read_u32(f, "param count")
         if n != len(expected):
             raise binio.FileFormatError(

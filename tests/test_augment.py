@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,28 +127,59 @@ def test_p0_returns_the_input_itself_and_p1_returns_zeros(strategy, stacked):
         assert got.flags.writeable and not np.shares_memory(got, seq)
 
 
+def stacked(windows, field):
+    return np.concatenate([getattr(w, field) for w in windows])
+
+
+def snapshot(windows):
+    return [(w.audio.copy(), w.video.copy(), w.labels.copy()) for w in windows]
+
+
+def assert_untouched(windows, before):
+    # bitwise: the corruption neither writes an input nor its labels
+    for w, (audio, video, labels) in zip(windows, before):
+        assert w.audio.tobytes() == audio.tobytes() and w.video.tobytes() == video.tobytes()
+        assert w.labels.tobytes() == labels.tobytes()
+
+
 def test_apply_none_is_bit_identity():
     windows = [make_window(i) for i in range(3)]
-    out = corrupt_windows(windows, AblationSpec("none", "video", 0.9, 1))
-    for before, after in zip(windows, out):
-        assert after.video is before.video and after.audio is before.audio
+    before = snapshot(windows)
+    # `none` at any probability, and every strategy at p=0
+    for spec in [AblationSpec("none", "video", 0.9, 1)] + [
+            AblationSpec(s, m, 0.0, 1) for s in STRATEGIES for m in MODALITIES]:
+        audio, video = corrupt_windows(windows, spec, range(3))
+        assert audio.tobytes() == stacked(windows, "audio").tobytes()
+        assert video.tobytes() == stacked(windows, "video").tobytes()
+    assert_untouched(windows, before)
 
 
 def test_apply_clip_zero_video_p1():
     windows = [make_window(i) for i in range(5)]
-    out = corrupt_windows(windows, AblationSpec("clip_zero", "video", 1.0, 2))
-    for before, after in zip(windows, out):
-        assert not after.video.any()
-        np.testing.assert_array_equal(after.audio, before.audio)
-        np.testing.assert_array_equal(after.labels, before.labels)
+    before = snapshot(windows)
+    audio, video = corrupt_windows(windows, AblationSpec("clip_zero", "video", 1.0, 2), range(5))
+    assert video.shape == stacked(windows, "video").shape and not video.any()
+    assert audio.tobytes() == stacked(windows, "audio").tobytes()
+    assert_untouched(windows, before)
 
 
 def test_apply_is_deterministic():
     windows = [make_window(i) for i in range(4)]
     spec = AblationSpec("frame_zero", "audio", 0.5, 3)
-    a, b = corrupt_windows(windows, spec), corrupt_windows(windows, spec)
+    a, b = corrupt_windows(windows, spec, range(4)), corrupt_windows(windows, spec, range(4))
     for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.audio, y.audio)
+        np.testing.assert_array_equal(x, y)
+    assert not np.array_equal(a[0], stacked(windows, "audio"))  # something was corrupted
+
+
+def test_apply_keys_window_j_by_streams_j():
+    windows = [make_window(i) for i in range(3)]
+    spec = AblationSpec("frame_repeat", "video", 0.5, 4)
+    streams = [7, 2, 40]
+    _, video = corrupt_windows(windows, spec, streams)
+    want = np.concatenate([ablate_sequence(w.video, spec, s) for w, s in zip(windows, streams)])
+    np.testing.assert_array_equal(video, want)
+    assert not np.array_equal(video, corrupt_windows(windows, spec, range(3))[1])
 
 
 def test_apply_is_order_independent():
@@ -164,20 +197,22 @@ def test_apply_is_order_independent():
        st.floats(0.0, 1.0), st.integers(0, 2**32))
 def test_apply_never_changes_shapes_or_labels(strategy, modality, p, seed):
     windows = [make_window(i, seed=17) for i in range(2)]
-    out = corrupt_windows(windows, AblationSpec(strategy, modality, p, seed))
-    for before, after in zip(windows, out):
-        assert after.audio.shape == before.audio.shape
-        assert after.video.shape == before.video.shape
-        np.testing.assert_array_equal(after.labels, before.labels)
+    before = snapshot(windows)
+    audio, video = corrupt_windows(windows, AblationSpec(strategy, modality, p, seed), range(2))
+    assert audio.shape == stacked(windows, "audio").shape
+    assert video.shape == stacked(windows, "video").shape
+    assert_untouched(windows, before)
 
 
 def test_zero_probability_is_a_unit():
     windows = [make_window(i) for i in range(4)]
-    once = corrupt_windows(windows, AblationSpec("clip_zero", "video", 0.6, 5))
-    twice = corrupt_windows(once, AblationSpec("clip_zero", "video", 0.0, 99))
+    once = corrupt_windows(windows, AblationSpec("clip_zero", "video", 0.6, 5), range(4))
+    t = windows[0].video.shape[0]
+    corrupted = [replace(w, audio=once[0][i * t:(i + 1) * t], video=once[1][i * t:(i + 1) * t])
+                 for i, w in enumerate(windows)]
+    twice = corrupt_windows(corrupted, AblationSpec("clip_zero", "video", 0.0, 99), range(4))
     for x, y in zip(once, twice):
-        np.testing.assert_array_equal(x.video, y.video)
-        np.testing.assert_array_equal(x.audio, y.audio)
+        assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("strategy", ["clip_zero", "frame_zero", "frame_repeat"])

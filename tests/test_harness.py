@@ -1,16 +1,18 @@
 import json
 import re
 import struct
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from avfusion import autodiff as ad
 from avfusion import harness
-from avfusion.augment import AblationSpec
+from avfusion.augment import MODALITIES, STRATEGIES, AblationSpec, ablate_sequence
 from avfusion.cli import main
-from avfusion.data import Dataset, SyntheticConfig, generate_synthetic, save_dataset
+from avfusion.data import Dataset, SyntheticConfig, Window, generate_synthetic, save_dataset
 from avfusion.harness import (
     ConfigError,
     ReportError,
@@ -27,7 +29,13 @@ from avfusion.harness import (
     train_on_prepared,
     write_sweep_csv,
 )
-from avfusion.model import clone_params, init_params, load_checkpoint, save_checkpoint
+from avfusion.model import (
+    ModelConfig,
+    clone_params,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY_RUN = {
     "model": {"d_model": 8, "num_layers": 1, "num_heads": 2, "ffn_mult": 2},
@@ -334,6 +342,49 @@ def test_sweep_csv_format_and_determinism(tiny_result, tiny_prep, tmp_path):
     assert text.splitlines()[0] == "strategy,modality,probability,seed,ccc_valence,ccc_arousal"
     assert p1.read_bytes() == p2.read_bytes()
     assert all(len(line.split(",")) == 6 for line in text.splitlines()[1:])
+
+
+def random_windows(n, seq_len, d_audio, d_video, seed=0):
+    rng = np.random.default_rng(seed)
+    return [Window(clip_id=i, start=0, audio=rng.normal(size=(seq_len, d_audio)),
+                   video=rng.normal(size=(seq_len, d_video)),
+                   labels=rng.uniform(-1.0, 1.0, (seq_len, 2))) for i in range(n)]
+
+
+SMALL_EVAL = ModelConfig(d_audio=6, d_video=5, num_layers=1, d_model=4, num_heads=2,
+                         ffn_mult=1, seq_len=5)
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_evaluation_keys_streams_by_global_window_position(strategy, modality):
+    # 70 windows: two full evaluation chunks and part of a third, so a stream
+    # restarted at every chunk would corrupt windows 32..69 differently
+    assert harness._EVAL_CHUNK < 40
+    windows = random_windows(70, SMALL_EVAL.seq_len, SMALL_EVAL.d_audio, SMALL_EVAL.d_video)
+    params = clone_params(init_params(SMALL_EVAL, seed=2))
+    spec = AblationSpec(strategy, modality, 0.5, seed=6)
+    by_hand = [replace(w, **{modality: ablate_sequence(getattr(w, modality), spec, i)})
+               for i, w in enumerate(windows)]
+    got = harness.evaluate_windows(params, SMALL_EVAL, windows, spec)
+    want = harness.evaluate_windows(params, SMALL_EVAL, by_hand)
+    assert got == want
+
+
+def test_sweep_point_holds_one_chunk_of_corrupted_copies_at_a_time():
+    config = replace(SMALL_EVAL, d_audio=400)
+    windows = random_windows(128, config.seq_len, config.d_audio, config.d_video, seed=1)
+    params = clone_params(init_params(config, seed=3))
+    spec = AblationSpec("frame_zero", "audio", 0.5, seed=4)
+    copies = sum(ablate_sequence(w.audio, spec, i).nbytes for i, w in enumerate(windows))
+    assert copies == sum(w.audio.nbytes for w in windows)  # every window is corrupted
+    tracemalloc.start()
+    try:
+        run_sweep(params, config, windows, "frame_zero", "audio", [0.5], seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < copies, (peak, copies)
 
 
 # --- gradcheck ---
@@ -1012,3 +1063,29 @@ def test_cli_gradcheck_fault_injection(monkeypatch, capsys):
     assert main(["gradcheck", "--seed", "0"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "worst param" in out
+
+
+def test_cli_out_of_memory_without_text_exits_2_with_a_message(cli_artifacts, tmp_path,
+                                                                monkeypatch, capsys):
+    # Python's own MemoryError carries no text; a model that exhausts memory
+    # while its parameter map is built (e.g. num_layers 1e9) raises one
+    _, config_path, data_path, _ = cli_artifacts
+
+    def exhausted(config, seed):
+        raise MemoryError()
+
+    monkeypatch.setattr(harness, "init_params", exhausted)
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(config_path), "--data", str(data_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
+
+
+def test_cli_error_without_text_still_prints_a_message(monkeypatch, capsys):
+    def failing(seed):
+        raise ValueError()
+
+    monkeypatch.setattr(harness, "gradcheck", failing)
+    assert main(["gradcheck", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == "error: ValueError()\n"

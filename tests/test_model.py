@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import signal
@@ -12,6 +13,7 @@ import pytest
 from avfusion import autodiff as ad
 from avfusion import binio
 from avfusion import model
+from avfusion.cli import main
 from avfusion.metrics import ccc_loss
 from avfusion.model import (
     ModelConfig,
@@ -60,7 +62,7 @@ def test_init_params_fusion_scalars_start_at_one():
 
 def test_init_params_glorot_bound():
     params = init_params(SMALL, seed=3)
-    for name, shape in param_shapes(SMALL).items():
+    for name, shape in param_shapes(SMALL):
         if len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             assert np.max(np.abs(params[name].data)) <= limit, name
@@ -606,6 +608,48 @@ def test_checkpoint_truncated(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(binio.FileFormatError, match=r"^truncated file: "):
         load_checkpoint(path)
+
+
+def write_huge_model_checkpoint(path) -> bytes:
+    """A short checkpoint whose config claims 1e9 layers per branch."""
+    cfg = json.dumps({"d_audio": 2, "d_video": 2, "num_layers": 10**9, "d_model": 2,
+                      "num_heads": 1, "ffn_mult": 1, "seq_len": 2}).encode()
+    raw = (model.CHECKPOINT_MAGIC + struct.pack("<II", model.CHECKPOINT_VERSION, len(cfg))
+           + cfg + struct.pack("<I", 2**32 - 1))  # the count cannot hold 24e9 + 16 params
+    path.write_bytes(raw)
+    return raw
+
+
+def test_checkpoint_too_short_for_its_config_is_refused_before_the_map(tmp_path, monkeypatch):
+    path = tmp_path / "huge.ckpt"
+    assert len(write_huge_model_checkpoint(path)) < 200
+    real, yielded = model.param_shapes, []
+
+    def bounded(config):
+        # the loader must stop within the file's size, long before 1e9 layers
+        for item in real(config):
+            yielded.append(item)
+            assert len(yielded) < 1000, "load_checkpoint walked the whole claimed model"
+            yield item
+
+    monkeypatch.setattr(model, "param_shapes", bounded)
+    with pytest.raises(binio.FileFormatError,
+                       match=r"^truncated file: the model its config describes needs \d+ "
+                             r"bytes, 4 left$"):
+        load_checkpoint(path)
+    assert len(yielded) == 1
+
+
+def test_cli_eval_sweep_on_a_tiny_checkpoint_claiming_a_huge_model_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "huge.ckpt"
+    write_huge_model_checkpoint(ckpt)
+    # the checkpoint is read first, so the missing dataset is never reached
+    assert main(["eval-sweep", "--model", str(ckpt), "--data", str(tmp_path / "none.avxd"),
+                 "--strategy", "clip_zero", "--modality", "video",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: truncated file: the model its config describes needs ")
 
 
 def test_checkpoint_shape_inconsistency(tmp_path):
