@@ -21,10 +21,13 @@ instead of propagating (pure data-movement ops skip the check; their inputs
 were checked by their producers). Work goes to the package's one worker
 thread only through `_share`, which runs its items on whichever of the
 calling thread and the worker is free: the two branches of a `fork_join`,
-forward and backward, and the head chunks of an `attention` call. Each item
-is the same numpy calls on the same arrays whichever thread runs it, so
-every result is bitwise that of one thread. Tensors are plain data and safe
-to hand between threads.
+forward and backward, the head chunks of an `attention` call, and the window
+chunks of `harness.evaluate_windows`, each a whole forward. Each item is the
+same numpy calls on the same arrays whichever thread runs it, so every result
+is bitwise that of one thread. An item that runs on the worker runs its own
+`_share` calls inline; one on the calling thread shares them, and the worker
+helps with any items still left once it has none of the outer call's left.
+Tensors are plain data and safe to hand between threads.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .data import (
     window_clips,
 )
 from .metrics import EvalSummary, ccc_loss, eval_summary
-from .model import ModelConfig, clone_params, init_params, model_forward
+from .model import ModelConfig, clone_params, init_params, model_forward, param_count
 from .seeding import derive_rng, mix_seed
 
 SWEEP_HEADER = "strategy,modality,probability,seed,ccc_valence,ccc_arousal"
@@ -251,12 +252,30 @@ def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> Prep
                         d_video=train_windows[0].video.shape[1])
 
 
-def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
+def _physical_memory() -> int | None:
     try:
-        return ModelConfig(d_audio=prep.d_audio, d_video=prep.d_video,
-                           seq_len=run.train.seq_len, **run.model)
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return None
+
+
+def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
+    """The run's model for the prepared data; a model whose float64 params,
+    grads and two Adam moments would not fit in this machine's physical
+    memory is refused before anything is allocated for it."""
+    try:
+        config = ModelConfig(d_audio=prep.d_audio, d_video=prep.d_video,
+                             seq_len=run.train.seq_len, **run.model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    memory = _physical_memory()
+    if memory is not None and 4 * 8 * param_count(config) > memory:
+        keys = ", ".join(f"model.{name}={getattr(config, name)}"
+                         for name in ("num_layers", "d_model", "num_heads", "ffn_mult"))
+        # the size is not quoted: it may be beyond the float range
+        raise ConfigError(f"{keys} describe a model whose params, grads and Adam state "
+                          f"take more than this machine's {memory / 1e9:.3g} GB of memory")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +298,15 @@ class TrainResult:
     best_epoch: int
 
 
-_EVAL_CHUNK = 32  # windows per batched inference call
+# windows per batched inference call, and per `_share` item of an evaluation.
+# At study-full dims (2-core box, one BLAS thread), eval-sweep's 30-window
+# units run as two items of 16 and 14 windows, one per thread, scored 44.5k
+# frames/s (quartiles 43.7k-45.0k) over 10 alternating bench pairs, against
+# 40.1k (39.1k-40.6k) as one 32-window call; at most two 16-window chunks'
+# inputs are in flight, as many as in one chunk of 32. Below 16 windows no
+# split is forced: 4 windows took 9.6 ms inline and 10.7 ms as 2+2 (medians
+# of 6 alternating rounds of 50 calls).
+_EVAL_CHUNK = 16
 
 
 def corrupt_windows(windows: list[Window], spec: AblationSpec, streams) -> tuple[np.ndarray, ...]:
@@ -296,19 +323,32 @@ def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window],
                      spec: AblationSpec = NO_ABLATION) -> EvalSummary:
     """Global CCC over every scored frame of the given windows, with spec's
     modality corrupted one chunk of windows at a time; window i's stream is
-    its position i in `windows`, whatever chunk it falls in."""
+    its position i in `windows`, whatever chunk it falls in.
+
+    Each chunk's corruption and forward is one `autodiff._share` item, run on
+    whichever of the calling thread and the worker is free, and writes its
+    scored rows into its own slot; the slots are joined in window order. So
+    a call holds at most one chunk's model input per thread, and the summary
+    is bitwise that of scoring the chunks one after the other. A call of at
+    most `_EVAL_CHUNK` windows is one item and runs inline. An error in any
+    chunk propagates unchanged once no chunk is running (see `_share`).
+    """
     # zero-copy views without grad: inference records no graph whatever params it gets
     params = {name: ad.Tensor(p.data) for name, p in params.items()}
-    preds, golds = [], []
     t = config.seq_len
-    for at in range(0, len(windows), _EVAL_CHUNK):
+    starts = range(0, len(windows), _EVAL_CHUNK)
+    preds: list[list[np.ndarray] | None] = [None] * len(starts)
+
+    def score_chunk(i: int) -> None:
+        at = starts[i]
         chunk = windows[at:at + _EVAL_CHUNK]
         audio, video = corrupt_windows(chunk, spec, range(at, at + len(chunk)))
         out = model_forward(ad.Tensor(audio), ad.Tensor(video), params, config).data
-        for i, w in enumerate(chunk):
-            preds.append(out[i * t + w.score_from:(i + 1) * t])
-            golds.append(w.labels[w.score_from:])
-    return eval_summary(np.concatenate(preds), np.concatenate(golds))
+        preds[i] = [out[j * t + w.score_from:(j + 1) * t] for j, w in enumerate(chunk)]
+
+    ad._share(len(starts), score_chunk)
+    return eval_summary(np.concatenate([p for chunk in preds for p in chunk]),
+                        np.concatenate([w.labels[w.score_from:] for w in windows]))
 
 
 def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:

@@ -87,6 +87,15 @@ def param_shapes(config: ModelConfig):
     yield "head.b", (2,)
 
 
+def param_count(config: ModelConfig) -> int:
+    """Number of parameter values, the sum over `param_shapes`, in closed form
+    so that a huge config is sized without building its parameter map."""
+    d, ff = config.d_model, config.ffn_mult * config.d_model
+    layer = 4 * d * d + 2 * d * ff + ff + 5 * d  # attention, ffn, two layer norms
+    branches = (config.d_audio + config.d_video + 2) * d + 2 * config.num_layers * layer
+    return branches + 8 * d * d + 2 + 2 * d + 2  # cross attention, alpha/beta, head
+
+
 def init_params(config: ModelConfig, seed: int) -> ParameterSet:
     """Glorot-uniform weights, zero biases, unit layer-norm gains, alpha=beta=1."""
     rng = np.random.default_rng(seed)
@@ -183,7 +192,9 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
     running them one after the other. An error in either branch propagates
     unchanged (the audio branch's, if both fail). A free worker also runs
     head chunks of attention calls; inference then holds at most one chunk's
-    softmax weights per thread.
+    softmax weights per thread. A forward that itself runs on the worker, as
+    a window chunk of `harness.evaluate_windows` may, runs both branches and
+    every head chunk inline, with bitwise the same predictions.
     """
     rows = _stacked_rows(audio, "model_forward: audio", config.seq_len)
     for name, x, d in (("audio", audio, config.d_audio), ("video", video, config.d_video)):

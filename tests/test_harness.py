@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -34,6 +35,7 @@ from avfusion.model import (
     clone_params,
     init_params,
     load_checkpoint,
+    param_count,
     save_checkpoint,
 )
 
@@ -385,6 +387,77 @@ def test_sweep_point_holds_one_chunk_of_corrupted_copies_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < copies, (peak, copies)
+
+
+# bounds stated before measuring. A 16-window chunk's corrupted copies take
+# 256 kB here, and their stack as much again. Each thread that runs chunks
+# holds at most one chunk's copies plus stack: 1.02 MB for two threads, 0.51 MB
+# on the worker alone, which runs every chunk inline. A chunk's input kept
+# alive while the next chunk is built would add 0.26 MB per thread.
+@pytest.mark.parametrize("on_worker,bound", [(False, 1.25e6), (True, 0.64e6)])
+def test_sweep_point_frees_each_chunk_before_the_next_is_built(on_worker, bound):
+    assert harness._EVAL_CHUNK == 16
+    config = replace(SMALL_EVAL, d_audio=400)
+    windows = random_windows(128, config.seq_len, config.d_audio, config.d_video, seed=1)
+    params = clone_params(init_params(config, seed=3))
+    sweep = (params, config, windows, "frame_zero", "audio", [0.5], 4)
+    tracemalloc.start()
+    try:
+        if on_worker:
+            ad._worker.submit(run_sweep, *sweep).result()
+        else:
+            run_sweep(*sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("modality", MODALITIES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_prediction_does_not_depend_on_its_chunk_or_its_thread(strategy, modality,
+                                                                 monkeypatch):
+    windows = random_windows(45, SMALL_EVAL.seq_len, SMALL_EVAL.d_audio, SMALL_EVAL.d_video,
+                             seed=3)
+    params = clone_params(init_params(SMALL_EVAL, seed=4))
+    spec = AblationSpec(strategy, modality, 0.5, seed=8)
+    want = harness.evaluate_windows(params, SMALL_EVAL, windows, spec)
+    for chunk in (1, 5, 32):  # 32: a full chunk and a partial one of 13 windows
+        monkeypatch.setattr(harness, "_EVAL_CHUNK", chunk)
+        assert harness.evaluate_windows(params, SMALL_EVAL, windows, spec) == want, chunk
+    monkeypatch.undo()
+    # on the worker, _share runs every chunk inline
+    on_worker = ad._worker.submit(harness.evaluate_windows, params, SMALL_EVAL, windows, spec)
+    assert on_worker.result() == want
+
+
+def test_an_error_in_the_workers_evaluation_chunk_propagates_unchanged(monkeypatch):
+    windows = random_windows(3 * harness._EVAL_CHUNK, SMALL_EVAL.seq_len, SMALL_EVAL.d_audio,
+                             SMALL_EVAL.d_video, seed=5)
+    params = clone_params(init_params(SMALL_EVAL, seed=6))
+    want = harness.evaluate_windows(params, SMALL_EVAL, windows)
+    real, error = harness.model_forward, RuntimeError("chunk 1 failed")
+    failed_on, started = [], threading.Event()
+
+    def failing(audio, video, params, config):
+        first = audio.data[:config.seq_len]
+        if np.array_equal(first, windows[0].audio):
+            # the calling thread always runs chunk 0, so while it waits here
+            # chunk 1 can only run on the worker
+            assert started.wait(30)
+        elif np.array_equal(first, windows[harness._EVAL_CHUNK].audio):
+            failed_on.append(threading.current_thread().name)
+            started.set()
+            raise error
+        return real(audio, video, params, config)
+
+    monkeypatch.setattr(harness, "model_forward", failing)
+    with pytest.raises(RuntimeError) as caught:
+        harness.evaluate_windows(params, SMALL_EVAL, windows)
+    assert caught.value is error
+    assert len(failed_on) == 1 and failed_on[0].startswith("avfusion-worker")
+    monkeypatch.undo()
+    assert harness.evaluate_windows(params, SMALL_EVAL, windows) == want
 
 
 # --- gradcheck ---
@@ -1006,8 +1079,41 @@ def test_cli_train_with_a_model_too_large_to_allocate_exits_2(cli_artifacts, tmp
     assert main(["train", "--config", str(path), "--data", str(data_path),
                  "--out", str(tmp_path / "m.ckpt")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1 and err.startswith(
+        "error: model.num_layers=1, model.d_model=1099511627776, model.num_heads=2, "
+        "model.ffn_mult=2 describe a model")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_with_a_model_larger_than_memory_exits_2_before_building_it(
+        cli_artifacts, tmp_path, monkeypatch, capsys):
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["model"] = {"num_layers": 1000000000, "d_model": 2, "num_heads": 1, "ffn_mult": 1}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+
+    def never(config, seed):
+        raise AssertionError("init_params called")
+
+    monkeypatch.setattr(harness, "init_params", never)
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(tmp_path / "m.ckpt")]) == 2
+    assert re.fullmatch(r"error: model\.num_layers=1000000000, model\.d_model=2, "
+                        r"model\.num_heads=1, model\.ffn_mult=1 describe a model whose params, "
+                        r"grads and Adam state take more than this machine's [0-9.e+]+ GB "
+                        r"of memory\n", capsys.readouterr().err)
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_model_config_for_refuses_a_model_one_byte_over_memory(tiny_prep, monkeypatch):
+    run = run_config_from_dict(TINY_RUN)
+    need = 4 * 8 * param_count(harness.model_config_for(run, tiny_prep))
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    assert harness.model_config_for(run, tiny_prep).d_model == TINY_RUN["model"]["d_model"]
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match="model.num_layers=1, model.d_model=8"):
+        harness.model_config_for(run, tiny_prep)
 
 
 def test_cli_eval_sweep_on_non_finite_checkpoint_exits_2(cli_artifacts, tmp_path, capsys):

@@ -24,6 +24,7 @@ from avfusion.model import (
     load_checkpoint,
     model_forward,
     multi_head_attention,
+    param_count,
     param_shapes,
     positional_encoding,
     save_checkpoint,
@@ -66,6 +67,15 @@ def test_init_params_glorot_bound():
         if len(shape) == 2:
             limit = np.sqrt(6.0 / (shape[0] + shape[1]))
             assert np.max(np.abs(params[name].data)) <= limit, name
+
+
+@pytest.mark.parametrize("num_layers,d_model,num_heads,ffn_mult", [
+    (1, 8, 2, 2), (3, 6, 3, 1), (2, 4, 1, 4), (1, 1, 1, 1),
+])
+def test_param_count_is_the_sum_over_param_shapes(num_layers, d_model, num_heads, ffn_mult):
+    config = ModelConfig(d_audio=7, d_video=3, num_layers=num_layers, d_model=d_model,
+                         num_heads=num_heads, ffn_mult=ffn_mult, seq_len=2)
+    assert param_count(config) == sum(int(np.prod(shape)) for _, shape in param_shapes(config))
 
 
 def test_positional_encoding_range_and_determinism():
