@@ -52,9 +52,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="training seed")
-    parser.add_argument("--epochs", type=int, default=10)
+    parser.add_argument("--epochs", type=int,
+                        help="training epochs (default: 2 with --quick, 10 without)")
     parser.add_argument("--quick", action="store_true", help="small config for a fast smoke run")
     args = parser.parse_args()
+    if args.epochs is None:
+        args.epochs = 2 if args.quick else 10
     # checked before anything is written, with the CLI's exit code and form
     for flag, value, least in (("--seed", args.seed, 0), ("--epochs", args.epochs, 1)):
         if value < least:
@@ -69,7 +72,6 @@ def main() -> int:
               file=sys.stderr)
         return 2
     data_cfg = QUICK_DATA if args.quick else FULL_DATA
-    epochs = 2 if args.quick else args.epochs
 
     print("generating dataset ...", flush=True)
     from avfusion.data import SyntheticConfig
@@ -81,7 +83,7 @@ def main() -> int:
 
     trained = {}
     for strategy in STRATEGIES:
-        cfg = run_config(strategy, args.seed, epochs)
+        cfg = run_config(strategy, args.seed, args.epochs)
         (out / f"config_{strategy}.json").write_text(json.dumps(cfg, indent=2))
         t0 = time.time()
         result = harness.train_on_prepared(run_config_from_dict(cfg), prep)

@@ -1,10 +1,11 @@
 """Minimal dense-tensor reverse-mode autodiff on float64 numpy arrays.
 
-Covers exactly the operations the fusion model needs: matmul, layer norm,
-linear, equal-shape add, multiply (with scalar broadcast for the fusion
-weights), relu, mean reduction and a blocked multi-head attention kernel,
-plus a bias-corrected Adam step. Other modules record their own fused ops
-through `_record` (the CCC training loss in `metrics` is one op).
+Covers the operations the fusion model needs: matmul, layer norm, linear,
+equal-shape add, multiply (with scalar broadcast for the fusion weights),
+relu and a blocked multi-head attention kernel, plus a bias-corrected Adam
+step; and mean reduction (`tmean`), which only the gradient tests call and
+the bench's tracer wraps. Other modules record their own fused ops through
+`_record` (the CCC training loss in `metrics` is one op).
 
 The recorded graph keeps only what backward reads. Its edges join value-free
 nodes, and each op's backward rule closes over exactly the arrays it reads:

@@ -73,8 +73,6 @@ def cmd_synth(args) -> int:
 def _load_train_dataset(run, data_flag):
     if data_flag:
         return load_dataset(data_flag)
-    if run.data_path:
-        return load_dataset(run.data_path)
     if run.data is not None:
         return generate_synthetic(run.data)
     raise ConfigError("no dataset: pass --data or provide a config data section")

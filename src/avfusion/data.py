@@ -275,15 +275,17 @@ def window_clips(clips: list[SyncedClip], seq_len: int, evaluation: bool = False
     Training: non-overlapping windows, partial tail dropped. Evaluation:
     non-overlapping windows plus one right-aligned tail window whose
     already-covered frames are excluded via score_from, so every frame is
-    scored exactly once.
+    scored exactly once. Clips shorter than seq_len are skipped, with one
+    warning per call that counts them.
     """
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     windows: list[Window] = []
+    skipped = 0
     for clip in clips:
         t = clip.audio.shape[0]
         if t < seq_len:
-            log.warning("clip %d shorter than seq_len (%d < %d), skipped", clip.id, t, seq_len)
+            skipped += 1
             continue
         start = 0  # after the loop: the frames the full windows cover
         while start + seq_len <= t:
@@ -297,6 +299,9 @@ def window_clips(clips: list[SyncedClip], seq_len: int, evaluation: bool = False
             windows.append(Window(clip.id, tail,
                                   clip.audio[tail:t], clip.video[tail:t], clip.labels[tail:t],
                                   score_from=start - tail))
+    if skipped:
+        log.warning("%d of %d clips shorter than seq_len %d, skipped",
+                    skipped, len(clips), seq_len)
     return windows
 
 

@@ -99,7 +99,6 @@ class RunConfig:
     model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
     ablation: AblationSpec = NO_ABLATION
     data: SyntheticConfig | None = None
-    data_path: str | None = None
     splits: SplitFractions = field(default_factory=SplitFractions)
 
 
@@ -155,11 +154,12 @@ def run_config_from_dict(obj: dict) -> RunConfig:
 
     Each section is read against its dataclass (`train`: TrainParams,
     `ablation`: AblationSpec, `splits`: SplitFractions, `data`:
-    SyntheticConfig or a `{"path": ...}` object). The dataclass's fields are
-    the section's keys, their defaults are the section's defaults, and its
-    `__post_init__` checks the values. The `model` section stays a dict of
-    ModelConfig's architecture fields; `model_config_for` completes it from
-    the data and `train.seq_len` and checks it.
+    SyntheticConfig, whatever dataset the run trains on: `train --data`
+    names a dataset file). The dataclass's fields are the section's keys and
+    any other key raises ConfigError, its defaults are the section's
+    defaults, and its `__post_init__` checks the values. The `model` section
+    stays a dict of ModelConfig's architecture fields; `model_config_for`
+    completes it from the data and `train.seq_len` and checks it.
     """
     _check_keys("run", obj, {"model", "train", "ablation", "data", "splits"})
     model = obj.get("model", {})
@@ -172,14 +172,8 @@ def run_config_from_dict(obj: dict) -> RunConfig:
                     splits=_section(SplitFractions, "splits", obj.get("splits", {})))
     if "ablation" in obj:
         run.ablation = _section(AblationSpec, "ablation", obj["ablation"])
-    data_obj = obj.get("data")
-    if isinstance(data_obj, dict) and "path" in data_obj:
-        _check_keys("data", data_obj, {"path"})
-        if not isinstance(data_obj["path"], str):
-            raise ConfigError(f"data.path must be a string, got {data_obj['path']!r}")
-        run.data_path = data_obj["path"]
-    elif "data" in obj:
-        run.data = _section(SyntheticConfig, "data", data_obj)
+    if "data" in obj:
+        run.data = _section(SyntheticConfig, "data", obj["data"])
     return run
 
 
@@ -212,10 +206,7 @@ def load_synthetic_config(path) -> SyntheticConfig:
     obj = _read_json(path)
     if "data" not in obj:
         return _section(SyntheticConfig, "data", obj)
-    data = run_config_from_dict(obj).data
-    if data is None:
-        raise ConfigError("config data section does not describe a synthetic dataset")
-    return data
+    return run_config_from_dict(obj).data
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,8 @@ class PreparedData:
 
 
 def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> PreparedData:
-    """Split clips, fit normalization on train, sync, and window both splits."""
+    """Split clips, fit normalization on train, sync, and window both splits;
+    a split with no clip as long as seq_len raises ConfigError."""
     n = len(dataset.clips)
     n_train = int(n * splits.train)
     n_val = int(n * splits.val)
@@ -243,10 +235,13 @@ def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> Prep
     stats = fit_norm(train_clips)
     train_synced = [sync_clip(apply_norm(c, stats)) for c in train_clips]
     val_synced = [sync_clip(apply_norm(c, stats)) for c in val_clips]
+    for split, synced in (("train", train_synced), ("val", val_synced)):
+        longest = max(c.audio.shape[0] for c in synced)
+        if longest < seq_len:
+            raise ConfigError(f"every {split} clip is shorter than seq_len {seq_len}: "
+                              f"the longest has {longest} frames")
     train_windows = window_clips(train_synced, seq_len)
     val_windows = window_clips(val_synced, seq_len, evaluation=True)
-    if not train_windows or not val_windows:
-        raise ConfigError("no usable windows: clips shorter than seq_len")
     return PreparedData(train_windows, val_windows,
                         d_audio=train_windows[0].audio.shape[1],
                         d_video=train_windows[0].video.shape[1])
@@ -501,12 +496,11 @@ def _parse_float(text: str, path, line: str) -> float:
 def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     """Parse one CSV into {model label: {(strategy, modality, p): (ccc_v, ccc_a)}}.
 
-    Accepts both the single-model sweep format, whose rows for one key (one per
-    seed) are averaged, and the merged multi-model format, which has one row
-    per key, so merged output can be re-merged unchanged. A second row for one
-    (strategy, modality, p, seed) in the single-model format, or for one key
-    in the merged one, would count that point twice and raises ReportError
-    naming it. A strategy or modality `augment` does not know, a probability
+    Accepts both the single-model sweep format that `write_sweep_csv` writes
+    (its seed column must hold an integer) and the merged multi-model format,
+    so merged output can be re-merged unchanged. Either has one row per key:
+    a second row for one key, whatever its seed, raises ReportError naming
+    the key. A strategy or modality `augment` does not know, a probability
     outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
     no sweep's output and raises ReportError naming the row. So does a model
     label (a single-model CSV's file stem) holding a comma or line break,
@@ -538,8 +532,7 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         raise ReportError(f"{path}: unrecognized CSV header {lines[0]!r}")
     if len(lines) == 1:  # every sweep writes at least one row
         raise ReportError(f"{path}: no rows")
-    acc: dict[str, dict[tuple, list[tuple[float, float]]]] = {label: {} for label in labels}
-    seen = set()
+    tables: dict[str, dict[tuple, tuple[float, float]]] = {label: {} for label in labels}
     for ln in lines[1:]:
         row = ln.split(",")
         if len(row) != first + 2 * len(labels):
@@ -550,23 +543,20 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
         try:  # eval-sweep writes an integer seed
-            row_key = key + (int(row[3]),) if single else key
+            if single:
+                int(row[3])
         except ValueError as exc:
             raise ReportError(f"{path}: seed {row[3]!r} is not an integer in row {ln!r}") from exc
-        if row_key in seen:
-            raise ReportError(f"{path}: duplicate row for {row_key}")
-        seen.add(row_key)
+        if key in tables[labels[0]]:
+            raise ReportError(f"{path}: duplicate row for {key}")
         for j, label in enumerate(labels):
             pair = (_parse_float(row[first + 2 * j], path, ln),
                     _parse_float(row[first + 2 * j + 1], path, ln))
             for value in pair:
                 if not abs(value) <= 1.0:
                     raise ReportError(f"{path}: CCC {value!r} outside [-1, 1] in row {ln!r}")
-            acc[label].setdefault(key, []).append(pair)
-    return {label: {key: (float(np.mean([v for v, _ in vals])),
-                          float(np.mean([a for _, a in vals]))) if single else vals[0]
-                    for key, vals in table.items()}
-            for label, table in acc.items()}
+            tables[label][key] = pair
+    return tables
 
 
 def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -236,9 +235,11 @@ def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
     """Params and config of a checkpoint; a malformed file raises FileFormatError.
 
-    Params come back like `clone_params` snapshots, not requiring grad: a
-    loaded model is only evaluated, so a forward on it records no graph.
-    Non-finite weights are rejected by param name.
+    A file with fewer than 4 bytes per value of the model its config describes
+    is refused before that model's param map is built. Params come back like
+    `clone_params` snapshots, not requiring grad: a loaded model is only
+    evaluated, so a forward on it records no graph. Non-finite weights are
+    rejected by param name.
     """
     with open(path, "rb") as f:
         binio.expect_magic(f, CHECKPOINT_MAGIC)
@@ -249,12 +250,9 @@ def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:
             config = ModelConfig(**json.loads(cfg_raw.decode("utf-8")))
         except (ValueError, TypeError) as exc:
             raise binio.FileFormatError(f"invalid checkpoint config: {exc}") from exc
-        need, expected = 4, {}  # 4: the u32 param count
-        for name, shape in param_shapes(config):  # stops once past the file's size, so a
-            # tiny file whose config claims a huge model never builds that model's map
-            need += 3 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape)
-            binio.expect_bytes(f, need, "the model its config describes")
-            expected[name] = shape
+        # the u32 param count and 4 bytes per value: a lower bound on what is left
+        binio.expect_bytes(f, 4 + 4 * param_count(config), "the model its config describes")
+        expected = dict(param_shapes(config))
         n = binio.read_u32(f, "param count")
         if n != len(expected):
             raise binio.FileFormatError(

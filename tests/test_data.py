@@ -327,6 +327,16 @@ def test_window_short_clip_warns(caplog):
     assert "shorter than seq_len" in caplog.text
 
 
+@pytest.mark.parametrize("evaluation", [False, True])
+def test_window_short_clips_warn_once_per_call(caplog, evaluation):
+    with caplog.at_level("WARNING"):
+        wins = window_clips([synced(99, 0), synced(100, 1), synced(50, 2)], seq_len=100,
+                            evaluation=evaluation)
+    assert [w.clip_id for w in wins] == [1]
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 of 3 clips shorter than seq_len 100, skipped"]
+
+
 @pytest.mark.parametrize("seq_len", [0, -1])
 @pytest.mark.parametrize("evaluation", [False, True])
 def test_window_seq_len_below_one_is_error(seq_len, evaluation):

@@ -92,7 +92,6 @@ CONFIG_KEYS = {section: [f.name for f in fields(cls)] for section, cls in (
     ("train", harness.TrainParams), ("ablation", AblationSpec),
     ("splits", harness.SplitFractions), ("data", SyntheticConfig))}
 CONFIG_KEYS["model"] = ["num_layers", "d_model", "num_heads", "ffn_mult"]
-CONFIG_KEYS["data"].append("path")
 VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"},
                 "splits": {}, "data": {"n_clips": 2, "clip_seconds": 1.0}}
 DELETE = object()

@@ -1,10 +1,13 @@
 import json
 import re
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,13 +150,6 @@ def test_run_config_range_errors_name_keys(section, key, value, message):
         run_config_from_dict(config)
 
 
-@pytest.mark.parametrize("path", [None, 5, ["d.avxd"]])
-def test_run_config_data_path_must_be_a_string(path):
-    want = f"^data\\.path must be a string, got {re.escape(repr(path))}$"
-    with pytest.raises(ConfigError, match=want):
-        run_config_from_dict({"train": {"epochs": 1}, "data": {"path": path}})
-
-
 def test_run_config_int_beyond_float_range_is_not_finite():
     with pytest.raises(ConfigError, match=r"^train\.lr must be a finite number, got 10+$"):
         run_config_from_dict({"train": {"epochs": 1, "lr": 10**400}})
@@ -172,7 +168,7 @@ def test_load_synthetic_config_reads_a_data_section_or_a_run_config(tmp_path):
     path.write_text(json.dumps(TINY_RUN))
     assert load_synthetic_config(path) == SyntheticConfig(**TINY_RUN["data"])
     path.write_text(json.dumps({"train": {"epochs": 1}, "data": {"path": "d.avxd"}}))
-    with pytest.raises(ConfigError, match="does not describe a synthetic dataset"):
+    with pytest.raises(ConfigError, match="^unknown key 'path' in section 'data'$"):
         load_synthetic_config(path)
 
 
@@ -555,14 +551,6 @@ def test_merge_tables_in_memory_equals_merging_sweep_csvs(tiny_result, tiny_prep
         merge_tables(tables)
 
 
-def test_report_averages_multiple_seeds_per_key(tmp_path):
-    a = tmp_path / "multi.csv"
-    _write_csv(a, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4"])
-    _, keys, models = merge_reports([a])
-    v, ar = models["multi"][keys[0]]
-    assert v == pytest.approx(0.2) and ar == pytest.approx(0.3)
-
-
 def test_report_merged_duplicate_key_is_error(tmp_path):
     merged = tmp_path / "merged.csv"
     merged.write_text("strategy,modality,probability,m_ccc_valence,m_ccc_arousal\n"
@@ -577,7 +565,8 @@ def test_report_single_model_repeated_row_is_error(tmp_path):
     path = tmp_path / "m.csv"
     _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4",
                       "clip_zero,video,1.0,0,0.1,0.2"])
-    want = rf"^{re.escape(str(path))}: duplicate row for \('clip_zero', 'video', 1\.0, 0\)$"
+    # raised at the second row: a point is one row, whatever its seed
+    want = rf"^{re.escape(str(path))}: duplicate row for \('clip_zero', 'video', 1\.0\)$"
     with pytest.raises(ReportError, match=want):
         merge_reports([path])
 
@@ -733,6 +722,46 @@ def test_cli_eval_sweep_on_weights_that_overflow_the_predictions_exits_2(cli_art
          "--modality", "video", "--out", str(out)],
         capsys, "ccc: moments overflow the float range")
     assert not out.exists()
+
+
+def test_cli_train_on_a_config_naming_a_dataset_file_exits_2(cli_artifacts, tmp_path, capsys):
+    # `train --data` is the one way to train on a dataset file
+    _, _, data_path, _ = cli_artifacts
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"train": TINY_RUN["train"], "data": {"path": str(data_path)}}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'path' in section 'data'\n"
+    assert not out.exists()
+
+
+def test_cli_train_with_seq_len_beyond_every_clip_exits_2_with_one_line(cli_artifacts, tmp_path,
+                                                                         capsys, caplog):
+    # a warning per skipped clip would print before the error, on stderr
+    _, _, data_path, _ = cli_artifacts
+    config = json.loads(json.dumps(TINY_RUN))
+    config["train"]["seq_len"] = 100000
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: every train clip is shorter than seq_len "
+                                       "100000: the longest has 150 frames\n")
+    assert caplog.records == []
+    assert not out.exists()
+
+
+def test_prepare_data_windows_a_split_with_some_short_clips(tiny_dataset, caplog):
+    clips = list(tiny_dataset.clips)
+    short = clips[0]
+    clips[0] = replace(short, audio=short.audio[:100], video=short.video[:30],
+                       labels=short.labels[:30])
+    with caplog.at_level("WARNING"):
+        prep = prepare_data(Dataset(clips), SplitFractions(), seq_len=100)
+    assert len(prep.train_windows) == 7  # the tiny_prep's 8 less the short clip's
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 of 8 clips shorter than seq_len 100, skipped"]
 
 
 def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
@@ -912,6 +941,16 @@ def test_cli_report_unknown_strategy_or_modality_exits_2(tmp_path, capsys, row):
     assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == (f"error: {path}: unknown strategy or modality "
                                        f"in row {row!r}\n")
+
+
+def test_cli_report_single_model_point_under_two_seeds_exits_2(tmp_path, capsys):
+    # eval-sweep writes one seed per file: a mean over seeds is not report's to take
+    path = tmp_path / "m.csv"
+    _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", "clip_zero,video,1.0,1,0.3,0.4"])
+    assert main(["report", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: duplicate row for "
+                                       "('clip_zero', 'video', 1.0)\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 # every input is missing, so only a check made before any work can name the flag
@@ -1195,3 +1234,15 @@ def test_cli_error_without_text_still_prints_a_message(monkeypatch, capsys):
     monkeypatch.setattr(harness, "gradcheck", failing)
     assert main(["gradcheck", "--seed", "0"]) == 2
     assert capsys.readouterr().err == "error: ValueError()\n"
+
+
+# --- the study script ---
+
+
+def test_study_quick_run_takes_its_epoch_count_from_epochs(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--quick",
+                    "--epochs", "1"], check=True, capture_output=True, timeout=600)
+    for strategy in STRATEGIES:
+        rows = (tmp_path / f"train_log_{strategy}.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["epoch", "0"]
