@@ -4,7 +4,8 @@
 Trains a baseline model plus one model per training ablation strategy, then
 evaluates every model under clip/frame corruption sweeps of both modalities
 and writes one merged comparison CSV per (corruption, modality) pair, next to
-the dataset, the run configs, the checkpoints and the training logs.
+the dataset and its synth config, the run configs, the checkpoints and the
+training logs.
 
 Usage:
     python scripts/run_missing_modality_study.py --out runs/study
@@ -15,25 +16,28 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from avfusion import harness
 from avfusion.augment import STRATEGIES
-from avfusion.data import generate_synthetic, save_dataset
+from avfusion.data import SyntheticConfig, generate_synthetic, save_dataset
 from avfusion.harness import DEFAULT_GRIDS, run_config_from_dict
 from avfusion.model import save_checkpoint
 
 FULL_DATA = {"n_clips": 200, "clip_seconds": 30.0, "d_audio_lld": 16, "d_video": 32, "seed": 7}
 QUICK_DATA = {"n_clips": 24, "clip_seconds": 10.0, "d_audio_lld": 8, "d_video": 12, "seed": 7}
 SWEEP_SEED = 1234
+SEQ_LEN = 100
 
 
 def run_config(strategy: str, seed: int, epochs: int) -> dict:
     cfg = {
         "model": {"d_model": 32, "num_layers": 2, "num_heads": 4},
-        "train": {"epochs": epochs, "lr": 1e-3, "batch_size": 16, "seq_len": 100, "seed": seed},
+        "train": {"epochs": epochs, "lr": 1e-3, "batch_size": 16, "seq_len": SEQ_LEN,
+                  "seed": seed},
     }
     if strategy != "none":
         cfg["ablation"] = {"strategy": strategy, "modality": "video",
@@ -71,14 +75,15 @@ def main() -> int:
         print(f"error: --out: cannot create directory {str(out)!r}: {exc.strerror}",
               file=sys.stderr)
         return 2
-    data_cfg = QUICK_DATA if args.quick else FULL_DATA
+    data_cfg = SyntheticConfig(**(QUICK_DATA if args.quick else FULL_DATA))
 
     print("generating dataset ...", flush=True)
-    from avfusion.data import SyntheticConfig
-    dataset = generate_synthetic(SyntheticConfig(**data_cfg))
+    dataset = generate_synthetic(data_cfg)
     save_dataset(dataset, out / "data.avxd")
+    # the form `avfusion synth --config` reads, which rewrites data.avxd byte for byte
+    (out / "data.json").write_text(json.dumps(asdict(data_cfg), indent=2))
 
-    prep = harness.prepare_data(dataset, harness.SplitFractions(), seq_len=100)
+    prep = harness.prepare_data(dataset, harness.SplitFractions(), SEQ_LEN)
     print(f"{len(prep.train_windows)} train windows, {len(prep.val_windows)} val windows")
 
     trained = {}

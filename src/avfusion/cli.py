@@ -7,6 +7,7 @@ values leave the float range: FloatingPointError), 3 dimension mismatch.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -31,24 +32,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset file")
-    p.add_argument("--config", required=True, help="synthetic config JSON (or run config with a data section)")
+    p.add_argument("--config", required=True, help="synthetic config JSON (SyntheticConfig keys)")
     p.add_argument("--out", required=True, help="output dataset path")
 
     p = sub.add_parser("train", help="train a model, optionally with ablation augmentation")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--data", help="dataset file (overrides the config data section)")
+    p.add_argument("--config", required=True, help="run config JSON (model, train, ablation)")
+    p.add_argument("--data", required=True, help="dataset file (split 0.8/0.2 into train/val)")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="per-epoch CSV log path")
 
     p = sub.add_parser("eval-sweep", help="evaluate a checkpoint across corruption probabilities")
     p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--data", required=True, help="dataset file")
+    p.add_argument("--data", required=True, help="dataset file (the val clips of its 0.8/0.2 split)")
     p.add_argument("--strategy", required=True, choices=STRATEGIES)
     p.add_argument("--modality", required=True, choices=MODALITIES)
     p.add_argument("--probs", help="comma-separated probabilities (default: the paper grid)")
     p.add_argument("--seed", type=int, default=0, help="sweep corruption seed")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--config", help="optional run config (for split fractions)")
 
     p = sub.add_parser("gradcheck", help="verify model gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
@@ -70,18 +70,9 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_train_dataset(run, data_flag):
-    if data_flag:
-        return load_dataset(data_flag)
-    if run.data is not None:
-        return generate_synthetic(run.data)
-    raise ConfigError("no dataset: pass --data or provide a config data section")
-
-
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    dataset = _load_train_dataset(run, args.data)
-    prep = harness.prepare_data(dataset, run.splits, run.train.seq_len)
+    prep = harness.prepare_data(load_dataset(args.data), SplitFractions(), run.train.seq_len)
     result = harness.train_on_prepared(run, prep)
     save_checkpoint(result.params, result.config, args.out)
     if args.log:
@@ -97,9 +88,7 @@ def cmd_eval_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     params, config = load_checkpoint(args.model)
-    dataset = load_dataset(args.data)
-    splits = load_run_config(args.config).splits if args.config else SplitFractions()
-    prep = harness.prepare_data(dataset, splits, config.seq_len)
+    prep = harness.prepare_data(load_dataset(args.data), SplitFractions(), config.seq_len)
     if config.d_audio != prep.d_audio or config.d_video != prep.d_video:
         raise DimensionMismatchError(
             f"checkpoint expects audio {config.d_audio} / video {config.d_video} dims, "
@@ -151,19 +140,28 @@ _COMMANDS = {
 }
 
 
-def _check_output_dirs(args) -> None:
+def _check_output_paths(args) -> None:
     # before any work: a missing directory would otherwise fail only at the
-    # write, after the training or sweep it was to save
-    for flag in ("out", "log"):
-        parent = Path(getattr(args, flag, None) or "").parent
-        if not parent.is_dir():
-            raise ConfigError(f"--{flag}: directory {str(parent)!r} does not exist")
+    # write, after the training or sweep it was to save, and an output that
+    # is another path of the command would overwrite it
+    named = {}  # resolved path: the first flag naming it
+    for flag in ("config", "data", "model", "csvs", "out", "log"):
+        value = getattr(args, flag, None)
+        for path in value if isinstance(value, list) else [value] if value else []:
+            real = os.path.realpath(path)
+            if flag in ("out", "log"):
+                parent = Path(path).parent
+                if not parent.is_dir():
+                    raise ConfigError(f"--{flag}: directory {str(parent)!r} does not exist")
+                if real in named:
+                    raise ConfigError(f"--{flag}: {path!r} is also {named[real]}")
+            named.setdefault(real, "a report input" if flag == "csvs" else f"--{flag}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_output_dirs(args)
+        _check_output_paths(args)
         with warnings.catch_warnings():
             # ops raise FloatingPointError on a non-finite value; numpy's own
             # warning about it would only add lines before that error

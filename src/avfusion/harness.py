@@ -3,11 +3,13 @@ evaluation sweeps over corruption probabilities, the gradient self-check and
 its central finite-difference oracle, and merging sweep tables (in memory or
 read from sweep CSVs).
 
-Config files have one schema: the dataclasses themselves. Each section's
-keys and defaults are its dataclass's fields (TrainParams, SplitFractions,
-AblationSpec, SyntheticConfig; ModelConfig's architecture fields for the
-`model` dict), its range checks are that dataclass's `__post_init__`, and
-one JSON reader serves `load_run_config` and `load_synthetic_config`.
+Config files have one schema: the dataclasses themselves. A run config
+describes training only, in its `train` (TrainParams), `ablation`
+(AblationSpec) and `model` (ModelConfig's architecture fields) sections; a
+synthetic-dataset config is one SyntheticConfig object. Each section's keys
+and defaults are its dataclass's fields, its range checks are that
+dataclass's `__post_init__`, and one JSON reader serves `load_run_config`
+and `load_synthetic_config`.
 
 Everything here is deterministic given the config seeds: shuffling and
 corruption draw from derived RNG streams keyed by stable indices, never by
@@ -95,11 +97,10 @@ class SplitFractions:
 
 @dataclass
 class RunConfig:
+    """What to train: the data it trains on is given apart from it."""
     train: TrainParams
     model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
     ablation: AblationSpec = NO_ABLATION
-    data: SyntheticConfig | None = None
-    splits: SplitFractions = field(default_factory=SplitFractions)
 
 
 def _check_keys(section: str, obj: dict, allowed) -> None:
@@ -152,28 +153,24 @@ def _section(cls, section: str, obj: dict):
 def run_config_from_dict(obj: dict) -> RunConfig:
     """A RunConfig from a parsed config JSON object.
 
-    Each section is read against its dataclass (`train`: TrainParams,
-    `ablation`: AblationSpec, `splits`: SplitFractions, `data`:
-    SyntheticConfig, whatever dataset the run trains on: `train --data`
-    names a dataset file). The dataclass's fields are the section's keys and
-    any other key raises ConfigError, its defaults are the section's
-    defaults, and its `__post_init__` checks the values. The `model` section
-    stays a dict of ModelConfig's architecture fields; `model_config_for`
-    completes it from the data and `train.seq_len` and checks it.
+    The sections are `train` (TrainParams), `ablation` (AblationSpec) and
+    `model`; any other section, such as a dataset's, raises ConfigError. A
+    section's dataclass fields are its keys and any other key raises
+    ConfigError, its defaults are the section's defaults, and its
+    `__post_init__` checks the values. The `model` section stays a dict of
+    ModelConfig's architecture fields; `model_config_for` completes it from
+    the data and `train.seq_len` and checks it.
     """
-    _check_keys("run", obj, {"model", "train", "ablation", "data", "splits"})
+    _check_keys("run", obj, {"model", "train", "ablation"})
     model = obj.get("model", {})
     for key, source in (("d_audio", "the data"), ("d_video", "the data"),
                         ("seq_len", "train.seq_len")):
         if isinstance(model, dict) and key in model:
             raise ConfigError(f"model.{key} cannot be set: its value comes from {source}")
     run = RunConfig(train=_section(TrainParams, "train", obj.get("train", {})),
-                    model=_section_values(ModelConfig, "model", model),
-                    splits=_section(SplitFractions, "splits", obj.get("splits", {})))
+                    model=_section_values(ModelConfig, "model", model))
     if "ablation" in obj:
         run.ablation = _section(AblationSpec, "ablation", obj["ablation"])
-    if "data" in obj:
-        run.data = _section(SyntheticConfig, "data", obj["data"])
     return run
 
 
@@ -202,11 +199,8 @@ def load_run_config(path) -> RunConfig:
 
 
 def load_synthetic_config(path) -> SyntheticConfig:
-    """A synthetic-dataset config: a bare data section, or a run config with one."""
-    obj = _read_json(path)
-    if "data" not in obj:
-        return _section(SyntheticConfig, "data", obj)
-    return run_config_from_dict(obj).data
+    """A synthetic-dataset config: one object of SyntheticConfig's keys."""
+    return _section(SyntheticConfig, "data", _read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +341,12 @@ def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window],
 
 
 def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
+    """Train run's model on prep's windows, which must be run.train.seq_len
+    frames long; the params of the epoch with the best val CCC are returned."""
+    for w in prep.train_windows + prep.val_windows:
+        if len(w.labels) != run.train.seq_len:
+            raise ConfigError(f"windows are prepared at seq_len {len(w.labels)}, "
+                              f"but train.seq_len is {run.train.seq_len}")
     config = model_config_for(run, prep)
     params = init_params(config, run.train.seed)
     plist = list(params.values())

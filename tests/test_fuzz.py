@@ -5,12 +5,13 @@ at any length, or flips any one of their bytes (XOR with 1..255). Each case
 must load or raise FileFormatError (binary files) or ReportError (CSV): the
 CLI maps both to exit 2 with one line, and any other exception would end in
 a traceback. A CSV that loads must hold only probabilities in [0, 1] and
-CCCs in [-1, 1]. A fourth fuzzer builds run-config objects from the real section
-and key names with arbitrary JSON values; each must parse or raise
-ConfigError.
+CCCs in [-1, 1]. Two more fuzzers build run-config and synthetic-config
+objects from the real section and key names with arbitrary JSON values; each
+must parse or raise ConfigError.
 """
 
 import copy
+import json
 from dataclasses import fields
 
 import pytest
@@ -89,15 +90,16 @@ def test_damaged_file_loads_or_raises_its_format_error(originals, name, data):
 # every key a run config may hold, by section; the model section holds only
 # the architecture keys, as the data and train.seq_len fix the others
 CONFIG_KEYS = {section: [f.name for f in fields(cls)] for section, cls in (
-    ("train", harness.TrainParams), ("ablation", AblationSpec),
-    ("splits", harness.SplitFractions), ("data", SyntheticConfig))}
+    ("train", harness.TrainParams), ("ablation", AblationSpec))}
 CONFIG_KEYS["model"] = ["num_layers", "d_model", "num_heads", "ffn_mult"]
-VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"},
-                "splits": {}, "data": {"n_clips": 2, "clip_seconds": 1.0}}
+VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"}}
+SYNTH_KEYS = [f.name for f in fields(SyntheticConfig)]
+VALID_SYNTH = {"n_clips": 2, "clip_seconds": 1.0}
 DELETE = object()
 JSON_VALUES = (st.none() | st.booleans() | st.integers() | st.just(10**400)
                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3)
-               | st.just([]) | st.just({"wat": 1}))
+               # a fresh list or dict per draw: an edit may write into a drawn dict
+               | st.builds(list) | st.builds(dict, wat=st.just(1)))
 # mostly values a key may take, so that many edited configs still parse
 CONFIG_VALUES = (st.integers(-2, 120) | st.floats(-0.5, 2.0)
                  | st.sampled_from(STRATEGIES + MODALITIES) | JSON_VALUES | st.just(DELETE))
@@ -132,3 +134,35 @@ def test_run_config_parses_or_raises_config_error(obj):
         return
     event("RunConfig")
     assert isinstance(run, harness.RunConfig)
+
+
+@st.composite
+def synthetic_config_objects(draw):
+    """VALID_SYNTH after up to four edits, each setting or deleting one key (real or unknown)."""
+    obj = dict(VALID_SYNTH)
+    for _ in range(draw(st.integers(0, 4), label="edits")):
+        key = draw(st.sampled_from([*SYNTH_KEYS, "wat"]))
+        value = draw(CONFIG_VALUES)
+        if value is DELETE:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return obj
+
+
+@pytest.fixture(scope="module")
+def synth_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("synth") / "data.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=synthetic_config_objects())
+def test_synthetic_config_parses_or_raises_config_error(synth_config_path, obj):
+    synth_config_path.write_text(json.dumps(obj))
+    try:
+        config = harness.load_synthetic_config(synth_config_path)
+    except harness.ConfigError:
+        event("ConfigError")
+        return
+    event("SyntheticConfig")
+    assert isinstance(config, SyntheticConfig)

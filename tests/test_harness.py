@@ -45,13 +45,13 @@ from avfusion.model import (
 TINY_RUN = {
     "model": {"d_model": 8, "num_layers": 1, "num_heads": 2, "ffn_mult": 2},
     "train": {"epochs": 2, "lr": 1e-3, "batch_size": 4, "seq_len": 100, "seed": 0},
-    "data": {"n_clips": 10, "clip_seconds": 5.0, "d_audio_lld": 4, "d_video": 6, "seed": 1},
 }
+TINY_DATA = {"n_clips": 10, "clip_seconds": 5.0, "d_audio_lld": 4, "d_video": 6, "seed": 1}
 
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    return generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    return generate_synthetic(SyntheticConfig(**TINY_DATA))
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,6 @@ def test_run_config_defaults():
     run = run_config_from_dict({"train": {"epochs": 3}})
     assert run.train.lr == 1e-4 and run.train.seq_len == 100 and run.train.batch_size == 16
     assert run.ablation.strategy == "none"
-    assert run.splits.train == 0.8 and run.splits.val == 0.2
 
 
 def test_run_config_ablation_default_probability():
@@ -88,11 +87,6 @@ def test_run_config_errors_name_keys():
         run_config_from_dict({"train": {"epochs": 1, "wat": 5}})
     with pytest.raises(ConfigError, match="train.lr"):
         run_config_from_dict({"train": {"epochs": 1, "lr": 0.0}})
-    with pytest.raises(ConfigError, match="splits"):
-        run_config_from_dict({"train": {"epochs": 1}, "splits": {"train": 0.9, "val": 0.9}})
-    with pytest.raises(ConfigError, match="sigma_video"):
-        run_config_from_dict({"train": {"epochs": 1},
-                              "data": {"n_clips": 1, "clip_seconds": 1.0, "sigma_video": -1.0}})
     with pytest.raises(ConfigError, match="train section must be a JSON object"):
         run_config_from_dict({"train": 5})
     with pytest.raises(ConfigError, match="model section must be a JSON object"):
@@ -105,18 +99,13 @@ def test_run_config_errors_name_keys():
     ("train", "epochs", True, "train.epochs must be a finite number, got True"),
     ("train", "seed", "3", "train.seed must be a finite number, got '3'"),
     ("train", "lr", float("nan"), "train.lr must be a finite number, got nan"),
-    ("splits", "val", float("inf"), "splits.val must be a finite number, got inf"),
     ("ablation", "seed", 1.5, "ablation.seed must be an integer, got 1.5"),
-    ("data", "n_clips", 3.5, "data.n_clips must be an integer, got 3.5"),
-    ("data", "sigma_audio", "abc", "data.sigma_audio must be a finite number, got 'abc'"),
-    ("data", "rho", None, "data.rho must be a finite number, got None"),
     ("model", "d_model", 32.5, "model.d_model must be an integer, got 32.5"),
     ("model", "num_heads", True, "model.num_heads must be a finite number, got True"),
 ])
 def test_run_config_numbers_must_be_finite_and_integral_where_counted(section, key, value,
                                                                       message):
-    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"},
-              "data": {"n_clips": 2, "clip_seconds": 1.0}}
+    config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"}}
     config.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"^{message}$"):
         run_config_from_dict(config)
@@ -124,14 +113,11 @@ def test_run_config_numbers_must_be_finite_and_integral_where_counted(section, k
 
 def test_run_config_integral_floats_count_as_integers():
     run = run_config_from_dict({"train": {"epochs": 3.0, "batch_size": 8.0},
-                                "model": {"d_model": 32.0, "num_layers": 2},
-                                "data": {"n_clips": 3.0, "clip_seconds": 2, "d_video": 4.0}})
+                                "model": {"d_model": 32.0, "num_layers": 2}})
     assert (run.train.epochs, run.train.batch_size) == (3, 8)
     assert type(run.train.epochs) is int and type(run.train.batch_size) is int
     assert run.model == {"d_model": 32, "num_layers": 2}
     assert all(type(v) is int for v in run.model.values())
-    assert (run.data.n_clips, run.data.d_video, run.data.clip_seconds) == (3, 4, 2.0)
-    assert type(run.data.n_clips) is int and type(run.data.clip_seconds) is float
 
 
 @pytest.mark.parametrize("section,key,value,message", [
@@ -140,7 +126,6 @@ def test_run_config_integral_floats_count_as_integers():
     ("train", "seed", -1, "train.seed must be >= 0"),
     ("train", "epochs", 0, "train.epochs must be >= 1"),
     ("train", "batch_size", 0, "train.batch_size must be >= 1"),
-    ("splits", "val", 0.0, "splits.train/splits.val must be positive with sum <= 1"),
     ("ablation", "probability", 1.5, "probability must be in [0, 1], got 1.5"),
 ])
 def test_run_config_range_errors_name_keys(section, key, value, message):
@@ -161,15 +146,35 @@ def test_run_config_defaults_are_the_dataclass_defaults():
     assert run.ablation == AblationSpec("frame_zero")
 
 
-def test_load_synthetic_config_reads_a_data_section_or_a_run_config(tmp_path):
+def test_load_synthetic_config_reads_a_bare_object_only(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(TINY_RUN["data"]))
-    assert load_synthetic_config(path) == SyntheticConfig(**TINY_RUN["data"])
-    path.write_text(json.dumps(TINY_RUN))
-    assert load_synthetic_config(path) == SyntheticConfig(**TINY_RUN["data"])
-    path.write_text(json.dumps({"train": {"epochs": 1}, "data": {"path": "d.avxd"}}))
-    with pytest.raises(ConfigError, match="^unknown key 'path' in section 'data'$"):
+    path.write_text(json.dumps(TINY_DATA))
+    assert load_synthetic_config(path) == SyntheticConfig(**TINY_DATA)
+    path.write_text(json.dumps({**TINY_RUN, "data": TINY_DATA}))  # a run config around it
+    with pytest.raises(ConfigError, match="^unknown key 'model' in section 'data'$"):
         load_synthetic_config(path)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n_clips", 3.5, "data.n_clips must be an integer, got 3.5"),
+    ("sigma_audio", "abc", "data.sigma_audio must be a finite number, got 'abc'"),
+    ("rho", None, "data.rho must be a finite number, got None"),
+    ("sigma_video", -1.0, "sigma_video must be finite and >= 0"),
+    ("path", "d.avxd", "unknown key 'path' in section 'data'"),
+])
+def test_synthetic_config_errors_name_keys(tmp_path, key, value, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n_clips": 2, "clip_seconds": 1.0, key: value}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_synthetic_config(path)
+
+
+def test_synthetic_config_integral_floats_count_as_integers(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n_clips": 3.0, "clip_seconds": 2, "d_video": 4.0}))
+    config = load_synthetic_config(path)
+    assert (config.n_clips, config.d_video, config.clip_seconds) == (3, 4, 2.0)
+    assert type(config.n_clips) is int and type(config.clip_seconds) is float
 
 
 # --- data preparation ---
@@ -213,6 +218,18 @@ def test_training_with_ablation_runs(tiny_prep):
     result = train_on_prepared(run_config_from_dict(cfg), tiny_prep)
     assert len(result.log) == 2
     assert np.isfinite([r.train_loss for r in result.log]).all()
+
+
+def test_training_on_windows_of_another_seq_len_is_refused_before_the_first_step(
+        tiny_prep, monkeypatch):
+    def never(*args):
+        raise AssertionError("model_forward called")
+
+    monkeypatch.setattr(harness, "model_forward", never)
+    cfg = {**TINY_RUN, "train": {**TINY_RUN["train"], "seq_len": 50}}
+    with pytest.raises(ConfigError, match="^windows are prepared at seq_len 100, "
+                                          "but train.seq_len is 50$"):
+        train_on_prepared(run_config_from_dict(cfg), tiny_prep)
 
 
 class _FirstBackward(Exception):
@@ -586,21 +603,21 @@ def test_report_merged_duplicate_label_is_error(tmp_path):
 @pytest.fixture(scope="module")
 def cli_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
-    config = dict(TINY_RUN)
     config_path = root / "run.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(TINY_RUN))
+    (root / "data.json").write_text(json.dumps(TINY_DATA))
     data_path = root / "data.avxd"
     ckpt_path = root / "model.ckpt"
-    assert main(["synth", "--config", str(config_path), "--out", str(data_path)]) == 0
+    assert main(["synth", "--config", str(root / "data.json"), "--out", str(data_path)]) == 0
     assert main(["train", "--config", str(config_path), "--data", str(data_path),
                  "--out", str(ckpt_path), "--log", str(root / "train_log.csv")]) == 0
     return root, config_path, data_path, ckpt_path
 
 
 def test_cli_synth_deterministic(cli_artifacts):
-    root, config_path, data_path, _ = cli_artifacts
+    root, _, data_path, _ = cli_artifacts
     again = root / "data2.avxd"
-    assert main(["synth", "--config", str(config_path), "--out", str(again)]) == 0
+    assert main(["synth", "--config", str(root / "data.json"), "--out", str(again)]) == 0
     assert data_path.read_bytes() == again.read_bytes()
 
 
@@ -666,7 +683,7 @@ def test_cli_infinite_sigma_exits_2(tmp_path, capsys):
 
 def test_cli_train_on_non_finite_features_exits_2(cli_artifacts, tmp_path, capsys):
     _, config_path, _, _ = cli_artifacts
-    clip = generate_synthetic(SyntheticConfig(**TINY_RUN["data"])).clips[0]
+    clip = generate_synthetic(SyntheticConfig(**TINY_DATA)).clips[0]
     clip.audio[3, 1] = np.inf
     save_dataset(Dataset([clip]), tmp_path / "inf.avxd")
     code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "inf.avxd"),
@@ -724,15 +741,72 @@ def test_cli_eval_sweep_on_weights_that_overflow_the_predictions_exits_2(cli_art
     assert not out.exists()
 
 
-def test_cli_train_on_a_config_naming_a_dataset_file_exits_2(cli_artifacts, tmp_path, capsys):
-    # `train --data` is the one way to train on a dataset file
-    _, _, data_path, _ = cli_artifacts
+def assert_train_exits_2_on_a_config_section(data_path, tmp_path, capsys, section, value):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"train": TINY_RUN["train"], "data": {"path": str(data_path)}}))
+    path.write_text(json.dumps({**TINY_RUN, section: value}))
     out = tmp_path / "m.ckpt"
-    assert main(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: unknown key 'path' in section 'data'\n"
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: unknown key {section!r} in section 'run'\n"
     assert not out.exists()
+
+
+def test_cli_train_on_a_config_naming_a_dataset_file_exits_2(cli_artifacts, tmp_path, capsys):
+    # `train --data` is the one way to give the dataset
+    _, _, data_path, _ = cli_artifacts
+    assert_train_exits_2_on_a_config_section(data_path, tmp_path, capsys, "data",
+                                             {"path": str(data_path)})
+
+
+def test_cli_train_on_a_config_with_a_splits_section_exits_2(cli_artifacts, tmp_path, capsys):
+    # prepare_data splits the dataset 0.8/0.2, whatever the run
+    _, _, data_path, _ = cli_artifacts
+    assert_train_exits_2_on_a_config_section(data_path, tmp_path, capsys, "splits",
+                                             {"train": 0.9, "val": 0.1})
+
+
+def test_cli_synth_on_a_run_config_exits_2(cli_artifacts, tmp_path, capsys):
+    _, config_path, _, _ = cli_artifacts
+    out = tmp_path / "x.avxd"
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'model' in section 'data'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--config", "run.json", "--out", "m.ckpt"],
+     "avfusion train: error: the following arguments are required: --data"),
+    (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
+      "--modality", "video", "--config", "run.json", "--out", "s.csv"],
+     "avfusion: error: unrecognized arguments: --config run.json"),
+])
+def test_cli_train_without_data_or_eval_sweep_with_a_config_exits_2(tmp_path, monkeypatch,
+                                                                     capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--config", "run.json", "--data", "data.avxd", "--out", "m.ckpt",
+      "--log", "m.ckpt"], "--log: 'm.ckpt' is also --out"),
+    (["train", "--config", "run.json", "--data", "data.avxd", "--out", "./run.json"],
+     "--out: './run.json' is also --config"),
+    (["eval-sweep", "--model", "m.ckpt", "--data", "data.avxd", "--strategy", "clip_zero",
+      "--modality", "video", "--out", "m.ckpt"], "--out: 'm.ckpt' is also --model"),
+    (["report", "a.csv", "b.csv", "--out", "b.csv"], "--out: 'b.csv' is also a report input"),
+])
+def test_cli_output_naming_another_path_of_the_command_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name in ("run.json", "m.ckpt", "a.csv", "b.csv"):
+        (tmp_path / name).write_text("kept")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert all(p.read_text() == "kept" for p in tmp_path.iterdir())
 
 
 def test_cli_train_with_seq_len_beyond_every_clip_exits_2_with_one_line(cli_artifacts, tmp_path,
@@ -767,7 +841,7 @@ def test_prepare_data_windows_a_split_with_some_short_clips(tiny_dataset, caplog
 def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
     _, config_path, _, _ = cli_artifacts
     path = tmp_path / "50fps.avxd"
-    save_dataset(generate_synthetic(SyntheticConfig(**TINY_RUN["data"])), path)
+    save_dataset(generate_synthetic(SyntheticConfig(**TINY_DATA)), path)
     raw = bytearray(path.read_bytes())
     # clip 0's fps_a follows magic, version, count, id, fps_v, T_v and D_v
     raw[28:32] = struct.pack("<I", 50)
@@ -782,7 +856,7 @@ def test_cli_train_on_unsupported_rate_exits_2(cli_artifacts, tmp_path, capsys):
 
 def test_cli_train_on_mixed_feature_widths_exits_2(cli_artifacts, tmp_path, capsys):
     _, config_path, _, _ = cli_artifacts
-    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    dataset = generate_synthetic(SyntheticConfig(**TINY_DATA))
     dataset.clips[3].video = dataset.clips[3].video[:, :5]
     save_dataset(dataset, tmp_path / "mixed.avxd")
     code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "mixed.avxd"),
@@ -795,7 +869,7 @@ def test_cli_train_on_mixed_feature_widths_exits_2(cli_artifacts, tmp_path, caps
 @pytest.mark.parametrize("stream", ["audio", "video"])
 def test_cli_train_on_an_empty_stream_exits_2(cli_artifacts, tmp_path, capsys, stream):
     _, config_path, _, _ = cli_artifacts
-    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    dataset = generate_synthetic(SyntheticConfig(**TINY_DATA))
     clip = dataset.clips[4]
     setattr(clip, stream, getattr(clip, stream)[:0])
     if stream == "video":  # labels share T_v
@@ -814,7 +888,7 @@ def test_cli_train_on_an_empty_stream_exits_2(cli_artifacts, tmp_path, capsys, s
 def test_cli_on_a_zero_width_stream_exits_2(cli_artifacts, tmp_path, capsys, command, stream,
                                             field):
     _, config_path, _, ckpt_path = cli_artifacts
-    dataset = generate_synthetic(SyntheticConfig(**TINY_RUN["data"]))
+    dataset = generate_synthetic(SyntheticConfig(**TINY_DATA))
     for clip in dataset.clips:
         setattr(clip, stream, getattr(clip, stream)[:, :0])
     data = tmp_path / "narrow.avxd"
@@ -956,8 +1030,9 @@ def test_cli_report_single_model_point_under_two_seeds_exits_2(tmp_path, capsys)
 # every input is missing, so only a check made before any work can name the flag
 @pytest.mark.parametrize("argv,flag", [
     (["synth", "--config", "in.json", "--out", "nodir/data.avxd"], "--out"),
-    (["train", "--config", "in.json", "--out", "nodir/model.ckpt"], "--out"),
-    (["train", "--config", "in.json", "--out", "model.ckpt", "--log", "nodir/log.csv"], "--log"),
+    (["train", "--config", "in.json", "--data", "d.avxd", "--out", "nodir/model.ckpt"], "--out"),
+    (["train", "--config", "in.json", "--data", "d.avxd", "--out", "model.ckpt",
+      "--log", "nodir/log.csv"], "--log"),
     (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
       "--modality", "video", "--out", "nodir/sweep.csv"], "--out"),
     (["report", "s.csv", "--out", "nodir/merged.csv"], "--out"),
@@ -1017,12 +1092,13 @@ def test_cli_eval_sweep_negative_seed_exits_2_before_loading_anything(tmp_path, 
 @pytest.mark.parametrize("command,section,value,message", [
     ("train", "ablation", {"strategy": "frame_zero", "seed": -5},
      "ablation.seed must be >= 0, got -5"),
-    ("synth", "data", dict(TINY_RUN["data"], seed=-2), "data.seed must be >= 0, got -2"),
+    ("synth", "data", dict(TINY_DATA, seed=-2), "data.seed must be >= 0, got -2"),
 ])
 def test_cli_negative_seed_in_a_config_section_exits_2(cli_artifacts, tmp_path, capsys,
                                                        command, section, value, message):
     _, _, data_path, _ = cli_artifacts
-    config = {"model": TINY_RUN["model"], "train": TINY_RUN["train"], section: value}
+    # a synth config is the data section alone
+    config = value if section == "data" else {**TINY_RUN, section: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out.bin"
@@ -1042,13 +1118,13 @@ def test_cli_negative_seed_in_a_config_section_exits_2(cli_artifacts, tmp_path, 
 def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
                                                   command, section, key, value):
     _, _, data_path, _ = cli_artifacts
-    config = json.loads(json.dumps(TINY_RUN))
-    config[section][key] = value
     path = tmp_path / "bad.json"
     if command == "synth":
-        path.write_text(json.dumps(config["data"]))
+        path.write_text(json.dumps(dict(TINY_DATA, **{key: value})))
         argv = ["synth", "--config", str(path), "--out", str(tmp_path / "x.avxd")]
     else:
+        config = json.loads(json.dumps(TINY_RUN))
+        config[section][key] = value
         path.write_text(json.dumps(config))
         argv = ["train", "--config", str(path), "--data", str(data_path),
                 "--out", str(tmp_path / "m.ckpt")]
@@ -1059,9 +1135,10 @@ def test_cli_config_value_of_wrong_type_exits_2(cli_artifacts, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_cli_non_utf8_config_names_the_file(cli_artifacts, tmp_path, capsys, command):
-    _, config_path, data_path, _ = cli_artifacts
+    root, config_path, data_path, _ = cli_artifacts
+    source = root / "data.json" if command == "synth" else config_path
     path = tmp_path / "bad.json"
-    path.write_bytes(config_path.read_bytes().replace(b'"seed"', b'"se\xffd"', 1))
+    path.write_bytes(source.read_bytes().replace(b'"seed"', b'"se\xffd"', 1))
     out = tmp_path / "out"
     if command == "synth":
         argv = ["synth", "--config", str(path), "--out", str(out)]
@@ -1179,7 +1256,7 @@ def test_cli_unknown_strategy_exits_2(cli_artifacts):
 
 def test_cli_dimension_mismatch_exits_3(cli_artifacts, tmp_path, capsys):
     root, _, _, ckpt_path = cli_artifacts
-    other = dict(TINY_RUN["data"])
+    other = dict(TINY_DATA)
     other["d_audio_lld"] = 5  # stacked dim will disagree with the checkpoint
     save_dataset(generate_synthetic(SyntheticConfig(**other)), tmp_path / "other.avxd")
     code = main(["eval-sweep", "--model", str(ckpt_path), "--data", str(tmp_path / "other.avxd"),

@@ -31,6 +31,7 @@ QUICK_DIGESTS = {
     "config_frame_zero.json": "0e03840c62ed6d267b86e351d477077cd82cf1a39a1358c7615e855f88945774",
     "config_none.json": "6f11d2f5482ec5a121e87db144f37e922cab136f1a604a4072215665ff3fece5",
     "data.avxd": "19d0f776ecefcbde2730eadde956137ade4487ce4716563a6b5781b93acfb096",
+    "data.json": "c0e24bb4a0510c388e53d715824605dbf5fcd37e25de30f29624778d316f9bf8",
     "model_clip_zero.ckpt": "3075d56f037f2ef7b977c3353d082a9db22debc9e83c6be1e8a83d5a23379743",
     "model_frame_repeat.ckpt": "a07f32f730f6596ba21a4c643dbaefbeb5ea95eddcb3f41441aa24227eed9ef3",
     "model_frame_zero.ckpt": "b310be490a4058a3267f90486189d6715d151dcb337c1df420e57b7ed23964b6",
