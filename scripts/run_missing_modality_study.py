@@ -39,7 +39,7 @@ def run_config(strategy: str, seed: int, epochs: int) -> dict:
         "train": {"epochs": epochs, "lr": 1e-3, "batch_size": 16, "seq_len": SEQ_LEN,
                   "seed": seed},
     }
-    if strategy != "none":
+    if strategy != "none":  # the baseline's label: it trains on clean windows
         cfg["ablation"] = {"strategy": strategy, "modality": "video",
                            "probability": 0.5, "seed": seed + 1000}
     return cfg
@@ -87,7 +87,7 @@ def main() -> int:
     print(f"{len(prep.train_windows)} train windows, {len(prep.val_windows)} val windows")
 
     trained = {}
-    for strategy in STRATEGIES:
+    for strategy in ("none",) + STRATEGIES:
         cfg = run_config(strategy, args.seed, args.epochs)
         (out / f"config_{strategy}.json").write_text(json.dumps(cfg, indent=2))
         t0 = time.time()
@@ -98,7 +98,7 @@ def main() -> int:
         trained[strategy] = result
 
     for modality in ("video", "audio"):
-        for eval_strategy in (s for s in STRATEGIES if s != "none"):
+        for eval_strategy in STRATEGIES:
             tables = {}
             for strategy, result in trained.items():
                 rows = harness.run_sweep(result.params, result.config, prep.val_windows,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .seeding import derive_rng
 
-STRATEGIES = ("none", "clip_zero", "frame_zero", "frame_repeat")
+STRATEGIES = ("clip_zero", "frame_zero", "frame_repeat")
 MODALITIES = ("audio", "video")
 
 
@@ -64,8 +64,6 @@ def carry_forward_fill(seq: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def ablate_sequence(seq: np.ndarray, spec: AblationSpec, stream_index: int) -> np.ndarray:
     """Corrupt one sequence using the stream derived from (spec.seed, stream_index)."""
-    if spec.strategy == "none":
-        return seq
     mask = missing_frames(spec, seq.shape[0], derive_rng(spec.seed, stream_index))
     if not mask.any():
         return seq

@@ -44,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-sweep", help="evaluate a checkpoint across corruption probabilities")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset file (the val clips of its 0.8/0.2 split)")
-    p.add_argument("--strategy", required=True, choices=STRATEGIES)
+    p.add_argument("--strategy", required=True, choices=STRATEGIES,
+                   help="corruption to sweep; its probability 0 scores clean windows")
     p.add_argument("--modality", required=True, choices=MODALITIES)
     p.add_argument("--probs", help="comma-separated probabilities (default: the paper grid)")
     p.add_argument("--seed", type=int, default=0, help="sweep corruption seed")
@@ -89,10 +90,11 @@ def cmd_eval_sweep(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     params, config = load_checkpoint(args.model)
     prep = harness.prepare_data(load_dataset(args.data), SplitFractions(), config.seq_len)
-    if config.d_audio != prep.d_audio or config.d_video != prep.d_video:
+    first = prep.val_windows[0]
+    if (config.d_audio, config.d_video) != (first.audio.shape[1], first.video.shape[1]):
         raise DimensionMismatchError(
             f"checkpoint expects audio {config.d_audio} / video {config.d_video} dims, "
-            f"data provides {prep.d_audio} / {prep.d_video}")
+            f"data provides {first.audio.shape[1]} / {first.video.shape[1]}")
     if args.probs:
         try:
             probs = [float(tok) for tok in args.probs.split(",") if tok != ""]

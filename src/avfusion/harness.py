@@ -5,11 +5,11 @@ read from sweep CSVs).
 
 Config files have one schema: the dataclasses themselves. A run config
 describes training only, in its `train` (TrainParams), `ablation`
-(AblationSpec) and `model` (ModelConfig's architecture fields) sections; a
-synthetic-dataset config is one SyntheticConfig object. Each section's keys
-and defaults are its dataclass's fields, its range checks are that
-dataclass's `__post_init__`, and one JSON reader serves `load_run_config`
-and `load_synthetic_config`.
+(AblationSpec; a run without it trains on clean windows) and `model`
+(ModelConfig's architecture fields) sections; a synthetic-dataset config is
+one SyntheticConfig object. Each section's keys and defaults are its
+dataclass's fields, its range checks are that dataclass's `__post_init__`,
+and one JSON reader serves `load_run_config` and `load_synthetic_config`.
 
 Everything here is deterministic given the config seeds: shuffling and
 corruption draw from derived RNG streams keyed by stable indices, never by
@@ -50,9 +50,7 @@ DEFAULT_GRIDS = {
     "clip_zero": (1.0, 0.7, 0.5, 0.3, 0.0),
     "frame_zero": (1.0, 0.95, 0.90, 0.85, 0.0),
     "frame_repeat": (1.0, 0.95, 0.90, 0.85, 0.0),
-    "none": (0.0,),
 }
-NO_ABLATION = AblationSpec("none", probability=0.0)  # a run config's default
 
 
 class ConfigError(ValueError):
@@ -100,7 +98,7 @@ class RunConfig:
     """What to train: the data it trains on is given apart from it."""
     train: TrainParams
     model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
-    ablation: AblationSpec = NO_ABLATION
+    ablation: AblationSpec | None = None            # None: train on clean windows
 
 
 def _check_keys(section: str, obj: dict, allowed) -> None:
@@ -211,8 +209,6 @@ def load_synthetic_config(path) -> SyntheticConfig:
 class PreparedData:
     train_windows: list[Window]
     val_windows: list[Window]
-    d_audio: int
-    d_video: int
 
 
 def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> PreparedData:
@@ -236,9 +232,7 @@ def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> Prep
                               f"the longest has {longest} frames")
     train_windows = window_clips(train_synced, seq_len)
     val_windows = window_clips(val_synced, seq_len, evaluation=True)
-    return PreparedData(train_windows, val_windows,
-                        d_audio=train_windows[0].audio.shape[1],
-                        d_video=train_windows[0].video.shape[1])
+    return PreparedData(train_windows, val_windows)
 
 
 def _physical_memory() -> int | None:
@@ -252,8 +246,9 @@ def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
     """The run's model for the prepared data; a model whose float64 params,
     grads and two Adam moments would not fit in this machine's physical
     memory is refused before anything is allocated for it."""
+    first = prep.train_windows[0]  # its widths are the model's input widths
     try:
-        config = ModelConfig(d_audio=prep.d_audio, d_video=prep.d_video,
+        config = ModelConfig(d_audio=first.audio.shape[1], d_video=first.video.shape[1],
                              seq_len=run.train.seq_len, **run.model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -298,21 +293,23 @@ class TrainResult:
 _EVAL_CHUNK = 16
 
 
-def corrupt_windows(windows: list[Window], spec: AblationSpec, streams) -> tuple[np.ndarray, ...]:
-    """The windows' audio and video stacked row-wise, with spec's modality of
-    window j corrupted from the stream streams[j]; the windows are not written."""
+def corrupt_windows(windows: list[Window], spec: AblationSpec | None,
+                    streams) -> tuple[np.ndarray, ...]:
+    """The windows' audio and video stacked row-wise, spec's modality (if any)
+    of window j corrupted from stream streams[j]; the windows are not written."""
     audios, videos = [w.audio for w in windows], [w.video for w in windows]
-    target = audios if spec.modality == "audio" else videos
-    for j, stream in enumerate(streams):
-        target[j] = ablate_sequence(target[j], spec, int(stream))
+    if spec is not None:
+        target = audios if spec.modality == "audio" else videos
+        for j, stream in enumerate(streams):
+            target[j] = ablate_sequence(target[j], spec, int(stream))
     return np.concatenate(audios), np.concatenate(videos)
 
 
 def evaluate_windows(params: dict, config: ModelConfig, windows: list[Window],
-                     spec: AblationSpec = NO_ABLATION) -> EvalSummary:
+                     spec: AblationSpec | None = None) -> EvalSummary:
     """Global CCC over every scored frame of the given windows, with spec's
-    modality corrupted one chunk of windows at a time; window i's stream is
-    its position i in `windows`, whatever chunk it falls in.
+    modality (if any) corrupted one chunk of windows at a time; window i's
+    stream is its position i in `windows`, whatever chunk it falls in.
 
     Each chunk's corruption and forward is one `autodiff._share` item, run on
     whichever of the calling thread and the worker is free, and writes its
@@ -357,7 +354,8 @@ def train_on_prepared(run: RunConfig, prep: PreparedData) -> TrainResult:
     log: list[EpochLog] = []
     for epoch in range(run.train.epochs):
         order = derive_rng(run.train.seed, epoch).permutation(len(prep.train_windows))
-        epoch_spec = replace(run.ablation, seed=mix_seed(run.ablation.seed, epoch))
+        epoch_spec = (None if run.ablation is None
+                      else replace(run.ablation, seed=mix_seed(run.ablation.seed, epoch)))
         losses = []
         for at in range(0, len(order), run.train.batch_size):
             batch = order[at:at + run.train.batch_size]

@@ -7,7 +7,9 @@ CLI maps both to exit 2 with one line, and any other exception would end in
 a traceback. A CSV that loads must hold only probabilities in [0, 1] and
 CCCs in [-1, 1]. Two more fuzzers build run-config and synthetic-config
 objects from the real section and key names with arbitrary JSON values; each
-must parse or raise ConfigError.
+must parse or raise ConfigError. Most run-config edits draw a value the key
+accepts, so about half the configs parse, and a parsed RunConfig must hold
+every value its config gave.
 """
 
 import copy
@@ -93,6 +95,16 @@ CONFIG_KEYS = {section: [f.name for f in fields(cls)] for section, cls in (
     ("train", harness.TrainParams), ("ablation", AblationSpec))}
 CONFIG_KEYS["model"] = ["num_layers", "d_model", "num_heads", "ffn_mult"]
 VALID_CONFIG = {"train": {"epochs": 1}, "model": {}, "ablation": {"strategy": "clip_zero"}}
+COUNTED, SEED = st.integers(1, 120), st.integers(0, 2**32)
+# for each key of CONFIG_KEYS, values it accepts
+VALID_VALUES = {
+    ("train", "epochs"): COUNTED, ("train", "lr"): st.floats(1e-6, 1.0),
+    ("train", "batch_size"): COUNTED, ("train", "seq_len"): COUNTED, ("train", "seed"): SEED,
+    ("ablation", "strategy"): st.sampled_from(STRATEGIES),
+    ("ablation", "modality"): st.sampled_from(MODALITIES),
+    ("ablation", "probability"): st.floats(0.0, 1.0), ("ablation", "seed"): SEED,
+    **{("model", key): COUNTED for key in CONFIG_KEYS["model"]},
+}
 SYNTH_KEYS = [f.name for f in fields(SyntheticConfig)]
 VALID_SYNTH = {"n_clips": 2, "clip_seconds": 1.0}
 DELETE = object()
@@ -107,13 +119,18 @@ CONFIG_VALUES = (st.integers(-2, 120) | st.floats(-0.5, 2.0)
 
 @st.composite
 def run_config_objects(draw):
-    """VALID_CONFIG after up to four edits, each setting or deleting one key
-    (real or unknown) or replacing or deleting a whole section."""
+    """VALID_CONFIG after up to four edits. Two in three set a real key to a
+    value it accepts; the others set or delete one key (real or unknown) to
+    any value, or replace or delete a whole section."""
     obj = copy.deepcopy(VALID_CONFIG)
     for _ in range(draw(st.integers(0, 4), label="edits")):
-        section = draw(st.sampled_from([*CONFIG_KEYS, "wat"]))
-        key = draw(st.sampled_from([*CONFIG_KEYS.get(section, []), "wat", None]))
-        value = draw(CONFIG_VALUES)
+        if draw(st.sampled_from([True, True, False]), label="valid"):
+            section, key = draw(st.sampled_from(list(VALID_VALUES)))
+            value = draw(VALID_VALUES[section, key])
+        else:
+            section = draw(st.sampled_from([*CONFIG_KEYS, "wat"]))
+            key = draw(st.sampled_from([*CONFIG_KEYS.get(section, []), "wat", None]))
+            value = draw(CONFIG_VALUES)
         if key is not None and not isinstance(obj.get(section), dict):
             obj[section] = {}
         target, name = (obj, section) if key is None else (obj[section], key)
@@ -133,7 +150,12 @@ def test_run_config_parses_or_raises_config_error(obj):
         event("ConfigError")
         return
     event("RunConfig")
-    assert isinstance(run, harness.RunConfig)
+    # every value the config holds is the parsed value; no section, no ablation
+    for section, values in obj.items():
+        parsed = getattr(run, section)
+        for key, value in values.items():
+            assert (parsed[key] if section == "model" else getattr(parsed, key)) == value
+    assert ("ablation" in obj) == (run.ablation is not None)
 
 
 @st.composite

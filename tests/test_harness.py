@@ -70,7 +70,7 @@ def tiny_result(tiny_prep):
 def test_run_config_defaults():
     run = run_config_from_dict({"train": {"epochs": 3}})
     assert run.train.lr == 1e-4 and run.train.seq_len == 100 and run.train.batch_size == 16
-    assert run.ablation.strategy == "none"
+    assert run.ablation is None  # no ablation: the run trains on clean windows
 
 
 def test_run_config_ablation_default_probability():
@@ -183,7 +183,8 @@ def test_synthetic_config_integral_floats_count_as_integers(tmp_path):
 def test_prepare_data_split_sizes(tiny_dataset, tiny_prep):
     assert len(tiny_prep.train_windows) == 8  # 8 clips x 1 window, partial tail dropped
     assert len(tiny_prep.val_windows) == 4    # 2 clips x ([0,100) + right-aligned tail)
-    assert tiny_prep.d_audio == 60 * 4 and tiny_prep.d_video == 6
+    for w in tiny_prep.train_windows + tiny_prep.val_windows:
+        assert w.audio.shape[1] == 60 * 4 and w.video.shape[1] == 6
     train_ids = {w.clip_id for w in tiny_prep.train_windows}
     val_ids = {w.clip_id for w in tiny_prep.val_windows}
     assert not train_ids & val_ids
@@ -370,20 +371,29 @@ SMALL_EVAL = ModelConfig(d_audio=6, d_video=5, num_layers=1, d_model=4, num_head
                          ffn_mult=1, seq_len=5)
 
 
+# the `none` cases score clean windows: no spec
+SPECS = [pytest.param(None, id="none"), *STRATEGIES]
+
+
 @pytest.mark.parametrize("modality", MODALITIES)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", SPECS)
 def test_evaluation_keys_streams_by_global_window_position(strategy, modality):
     # 70 windows: two full evaluation chunks and part of a third, so a stream
     # restarted at every chunk would corrupt windows 32..69 differently
     assert harness._EVAL_CHUNK < 40
     windows = random_windows(70, SMALL_EVAL.seq_len, SMALL_EVAL.d_audio, SMALL_EVAL.d_video)
     params = clone_params(init_params(SMALL_EVAL, seed=2))
-    spec = AblationSpec(strategy, modality, 0.5, seed=6)
-    by_hand = [replace(w, **{modality: ablate_sequence(getattr(w, modality), spec, i)})
-               for i, w in enumerate(windows)]
-    got = harness.evaluate_windows(params, SMALL_EVAL, windows, spec)
-    want = harness.evaluate_windows(params, SMALL_EVAL, by_hand)
-    assert got == want
+    if strategy is None:
+        # no spec scores what probability 0 of a strategy scores
+        spec = None
+        want = harness.evaluate_windows(params, SMALL_EVAL, windows,
+                                        AblationSpec("frame_repeat", modality, 0.0, seed=6))
+    else:
+        spec = AblationSpec(strategy, modality, 0.5, seed=6)
+        by_hand = [replace(w, **{modality: ablate_sequence(getattr(w, modality), spec, i)})
+                   for i, w in enumerate(windows)]
+        want = harness.evaluate_windows(params, SMALL_EVAL, by_hand)
+    assert harness.evaluate_windows(params, SMALL_EVAL, windows, spec) == want
 
 
 def test_sweep_point_holds_one_chunk_of_corrupted_copies_at_a_time():
@@ -427,13 +437,13 @@ def test_sweep_point_frees_each_chunk_before_the_next_is_built(on_worker, bound)
 
 
 @pytest.mark.parametrize("modality", MODALITIES)
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", SPECS)
 def test_a_prediction_does_not_depend_on_its_chunk_or_its_thread(strategy, modality,
                                                                  monkeypatch):
     windows = random_windows(45, SMALL_EVAL.seq_len, SMALL_EVAL.d_audio, SMALL_EVAL.d_video,
                              seed=3)
     params = clone_params(init_params(SMALL_EVAL, seed=4))
-    spec = AblationSpec(strategy, modality, 0.5, seed=8)
+    spec = None if strategy is None else AblationSpec(strategy, modality, 0.5, seed=8)
     want = harness.evaluate_windows(params, SMALL_EVAL, windows, spec)
     for chunk in (1, 5, 32):  # 32: a full chunk and a partial one of 13 windows
         monkeypatch.setattr(harness, "_EVAL_CHUNK", chunk)
@@ -765,6 +775,20 @@ def test_cli_train_on_a_config_with_a_splits_section_exits_2(cli_artifacts, tmp_
                                              {"train": 0.9, "val": 0.1})
 
 
+def test_cli_train_with_a_none_ablation_exits_2(cli_artifacts, tmp_path, capsys):
+    # a run with no ablation has no `ablation` section; `none` would ignore three keys
+    _, _, data_path, _ = cli_artifacts
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**TINY_RUN, "ablation": {
+        "strategy": "none", "modality": "audio", "probability": 0.9, "seed": 5}}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(path), "--data", str(data_path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: unknown strategy 'none', "
+                                       f"expected one of {STRATEGIES}\n")
+    assert not out.exists()
+
+
 def test_cli_synth_on_a_run_config_exits_2(cli_artifacts, tmp_path, capsys):
     _, config_path, _, _ = cli_artifacts
     out = tmp_path / "x.avxd"
@@ -1008,7 +1032,9 @@ def test_cli_report_non_integer_seed_exits_2(tmp_path, capsys, seed):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("row", ["bogus,video,1.0,0,0.1,0.2", "clip_zero,face,1.0,0,0.1,0.2"])
+# an older eval-sweep wrote `none` rows, each holding the clean score
+@pytest.mark.parametrize("row", ["bogus,video,1.0,0,0.1,0.2", "clip_zero,face,1.0,0,0.1,0.2",
+                                 "none,video,0.3,0,0.2208,0.0141"])
 def test_cli_report_unknown_strategy_or_modality_exits_2(tmp_path, capsys, row):
     path = tmp_path / "m.csv"
     _write_csv(path, ["clip_zero,video,1.0,0,0.1,0.2", row])
@@ -1254,6 +1280,23 @@ def test_cli_unknown_strategy_exits_2(cli_artifacts):
     assert exc.value.code == 2
 
 
+def test_cli_eval_sweep_with_strategy_none_exits_2(cli_artifacts, capsys):
+    # clean windows are scored at --probs 0 of any strategy
+    root, _, data_path, ckpt_path = cli_artifacts
+    out = root / "none.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-sweep", "--model", str(ckpt_path), "--data", str(data_path),
+              "--strategy", "none", "--modality", "video", "--probs", "0,0.3,1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    # argparse's usage, then one line
+    usage, *lines = capsys.readouterr().err.split("\navfusion ")
+    assert usage.startswith("usage: avfusion eval-sweep ") and len(lines) == 1
+    assert lines[0].startswith("eval-sweep: error: argument --strategy: invalid choice: 'none'")
+    assert lines[0].count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_dimension_mismatch_exits_3(cli_artifacts, tmp_path, capsys):
     root, _, _, ckpt_path = cli_artifacts
     other = dict(TINY_DATA)
@@ -1320,6 +1363,6 @@ def test_study_quick_run_takes_its_epoch_count_from_epochs(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
     subprocess.run([sys.executable, str(script), "--out", str(tmp_path), "--quick",
                     "--epochs", "1"], check=True, capture_output=True, timeout=600)
-    for strategy in STRATEGIES:
-        rows = (tmp_path / f"train_log_{strategy}.csv").read_text().splitlines()
+    for label in ("none", "clip_zero", "frame_zero", "frame_repeat"):  # the baseline first
+        rows = (tmp_path / f"train_log_{label}.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows] == ["epoch", "0"]
