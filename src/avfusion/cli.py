@@ -25,8 +25,16 @@ EXIT_INVALID_INPUT = 2
 EXIT_DIMENSION_MISMATCH = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """Exits 2 on an error, with one `error: <message>` line; its subparsers share the class."""
+
+    def error(self, message):
+        # an unrecognized or ambiguous argument is quoted as typed, and may hold a line break
+        self.exit(EXIT_INVALID_INPUT, f"error: {message}".replace("\n", "\\n") + "\n")
+
+
+def _build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="avfusion",
         description="Audio-visual affect regression with missing-modality training strategies")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="merge sweep CSVs into a comparison table")
-    p.add_argument("csvs", nargs="+", help="sweep CSV files (one model each)")
+    p.add_argument("csvs", nargs="+", help="sweep CSV files, one model each or already merged")
     p.add_argument("--out", required=True, help="merged CSV path")
     return parser
 

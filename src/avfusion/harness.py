@@ -558,7 +558,12 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
 
 
 def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
-    """Read sweep CSVs (either format) and merge them with `merge_tables`."""
+    """Read sweep CSVs (either format) and merge their models' tables.
+
+    Returns (model labels in input order, (strategy, modality, probability)
+    keys sorted by falling probability, {label: {key: (v, a)}}). Raises
+    ReportError listing missing keys when the grids are inconsistent.
+    """
     if not paths:
         raise ReportError("report needs at least one CSV")
     models: dict[str, dict[tuple, tuple[float, float]]] = {}
@@ -567,15 +572,6 @@ def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
             if label in models:
                 raise ReportError(f"duplicate model label {label!r}")
             models[label] = table
-    return merge_tables(models)
-
-
-def merge_tables(models: dict) -> tuple[list[str], list[tuple], dict]:
-    """Merge per-model tables keyed by (strategy, modality, probability).
-
-    Returns (model labels in input order, sorted keys, {label: {key: (v, a)}}).
-    Raises ReportError listing missing keys when the grids are inconsistent.
-    """
     all_keys = sorted({k for table in models.values() for k in table},
                       key=lambda k: (k[0], k[1], -k[2]))
     problems = []

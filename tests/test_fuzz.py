@@ -43,7 +43,7 @@ def _write_merged_csv(path):
     keys = [("clip_zero", "video", p) for p in (1.0, 0.5, 0.0)]
     tables = {label: {k: (0.1 * i, -0.2 * i) for i, k in enumerate(keys)}
               for label in ("trained_none", "trained_clip_zero")}
-    harness.write_merged_csv(*harness.merge_tables(tables), path)
+    harness.write_merged_csv(list(tables), keys, tables, path)
 
 
 # name: (writer, loader, the error a damaged file may raise)

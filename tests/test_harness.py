@@ -26,7 +26,6 @@ from avfusion.harness import (
     gradcheck,
     load_synthetic_config,
     merge_reports,
-    merge_tables,
     prepare_data,
     run_config_from_dict,
     run_sweep,
@@ -561,21 +560,16 @@ def test_report_remerge_is_idempotent(tmp_path):
     assert merged1.read_bytes() == merged2.read_bytes()
 
 
-def test_merge_tables_in_memory_equals_merging_sweep_csvs(tiny_result, tiny_prep, tmp_path):
-    tables, paths = {}, []
-    for label, seed in (("trained_none", 2), ("trained_clip_zero", 3)):
-        rows = run_sweep(tiny_result.params, tiny_result.config, tiny_prep.val_windows,
-                         "frame_repeat", "video", [0.0, 1.0, 0.5], seed)
-        tables[label] = {(r.strategy, r.modality, r.probability):
-                         (r.ccc_valence, r.ccc_arousal) for r in rows}
-        paths.append(tmp_path / f"{label}.csv")
-        write_sweep_csv(rows, paths[-1])
-    merged = merge_tables(tables)
-    assert merged == merge_reports(paths)
-    assert merged[1] == [("frame_repeat", "video", p) for p in (1.0, 0.5, 0.0)]
-    del tables["trained_clip_zero"][("frame_repeat", "video", 0.5)]
-    with pytest.raises(ReportError, match="trained_clip_zero missing"):
-        merge_tables(tables)
+def test_report_orders_keys_by_falling_probability_and_names_a_model_missing_one(tmp_path):
+    a, b = tmp_path / "trained_none.csv", tmp_path / "trained_clip_zero.csv"
+    rows = [f"frame_repeat,video,{p},2,0.1,0.2" for p in (0.0, 1.0, 0.5)]
+    _write_csv(a, rows)
+    _write_csv(b, rows)
+    assert merge_reports([a, b])[1] == [("frame_repeat", "video", p) for p in (1.0, 0.5, 0.0)]
+    _write_csv(b, rows[:2])
+    want = r"trained_clip_zero missing \('frame_repeat', 'video', 0\.5\)"
+    with pytest.raises(ReportError, match=want):
+        merge_reports([a, b])
 
 
 def test_report_merged_duplicate_key_is_error(tmp_path):
@@ -798,20 +792,43 @@ def test_cli_synth_on_a_run_config_exits_2(cli_artifacts, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["train", "--config", "run.json", "--out", "m.ckpt"],
-     "avfusion train: error: the following arguments are required: --data"),
-    (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
-      "--modality", "video", "--config", "run.json", "--out", "s.csv"],
-     "avfusion: error: unrecognized arguments: --config run.json"),
+    pytest.param([], "the following arguments are required: command", id="no-command"),
+    pytest.param(["fit"], "argument command: invalid choice: 'fit'", id="unknown-command"),
+    pytest.param(["report"], "the following arguments are required: csvs, --out",
+                 id="report-without-arguments"),
+    pytest.param(["train", "--config", "run.json", "--out", "m.ckpt"],
+                 "the following arguments are required: --data", id="train-without-data"),
+    pytest.param(["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy",
+                  "clip_zero", "--modality", "video", "--config", "run.json", "--out", "s.csv"],
+                 "unrecognized arguments: --config run.json", id="eval-sweep-with-config"),
+    pytest.param(["report", "a.csv", "--out", "m.csv", "x\ny"],
+                 "unrecognized arguments: x\\ny", id="unknown-argument-with-a-line-break"),
+    pytest.param(["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy",
+                  "clip_zero", "--modality", "face", "--out", "s.csv"],
+                 "argument --modality: invalid choice: 'face'", id="bad-choice"),
+    pytest.param(["gradcheck", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'",
+                 id="non-integer-seed"),
 ])
-def test_cli_train_without_data_or_eval_sweep_with_a_config_exits_2(tmp_path, monkeypatch,
-                                                                     capsys, argv, message):
+def test_cli_argument_error_is_one_line_and_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                                    message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == message
+    captured = capsys.readouterr()
+    # a choice's message goes on to list the choices
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n") and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: avfusion report ") and captured.err == ""
+    assert "one model each or already merged" in captured.out
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -1289,11 +1306,9 @@ def test_cli_eval_sweep_with_strategy_none_exits_2(cli_artifacts, capsys):
               "--strategy", "none", "--modality", "video", "--probs", "0,0.3,1",
               "--out", str(out)])
     assert exc.value.code == 2
-    # argparse's usage, then one line
-    usage, *lines = capsys.readouterr().err.split("\navfusion ")
-    assert usage.startswith("usage: avfusion eval-sweep ") and len(lines) == 1
-    assert lines[0].startswith("eval-sweep: error: argument --strategy: invalid choice: 'none'")
-    assert lines[0].count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --strategy: invalid choice: 'none'")
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ differently and need the digests recorded again.
 
 To record them, run this file as a script:
 
-    python tests/test_study.py
+    PYTHONPATH=src python tests/test_study.py
 
 It runs `--quick` into a temporary directory and prints the table below,
 ready to paste over `QUICK_DIGESTS`.
@@ -23,7 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from avfusion.augment import STRATEGIES
+from avfusion.cli import main
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
+LABELS = ("none",) + STRATEGIES  # the study's models, in its merged tables' column order
 
 QUICK_DIGESTS = {
     "config_clip_zero.json": "61fc6d2c33363f813efaf9cbe97ddc379d6a9ad17f49cc992608fa6bf00f025e",
@@ -32,20 +36,20 @@ QUICK_DIGESTS = {
     "config_none.json": "6f11d2f5482ec5a121e87db144f37e922cab136f1a604a4072215665ff3fece5",
     "data.avxd": "19d0f776ecefcbde2730eadde956137ade4487ce4716563a6b5781b93acfb096",
     "data.json": "c0e24bb4a0510c388e53d715824605dbf5fcd37e25de30f29624778d316f9bf8",
-    "model_clip_zero.ckpt": "3075d56f037f2ef7b977c3353d082a9db22debc9e83c6be1e8a83d5a23379743",
-    "model_frame_repeat.ckpt": "a07f32f730f6596ba21a4c643dbaefbeb5ea95eddcb3f41441aa24227eed9ef3",
-    "model_frame_zero.ckpt": "b310be490a4058a3267f90486189d6715d151dcb337c1df420e57b7ed23964b6",
-    "model_none.ckpt": "9c3eda38cbbc1f3c2fef79f5a7982848ed5a90c4187ae93ea19665de10972652",
-    "sweep_clip_zero_audio.csv": "cd0e63b0dbb64d3851474e2aa4e4e68cfe31c76026a13e06311ddb476b6662fa",
-    "sweep_clip_zero_video.csv": "bf91ec14adc92bd5f09510ce31d67dcf308a290afe539c140b814c04a4062fb0",
-    "sweep_frame_repeat_audio.csv": "8e88d68ca32235d1f537f3c6c02f7e0e080b508c212d89dd028b30db4568e8a7",
-    "sweep_frame_repeat_video.csv": "9d9e0e43601c79a70e13bbd8c19450ca4dbb92967b506dcf0e51e1240b7d1725",
-    "sweep_frame_zero_audio.csv": "9db1863402f6c284d3183e26ce0f430d8a3295251cd3b368bdf33d74bc9f9215",
-    "sweep_frame_zero_video.csv": "63f5d9b8b58b8c08af298c74f066164e3e791fc260a4f771ad4b8f5defcbfdc9",
-    "train_log_clip_zero.csv": "ffbd24f99bedb3475b616a9bdcc882fd7b0f5a407b3cffee30cc6bbdd413340b",
-    "train_log_frame_repeat.csv": "0b69213f8d589d9dc5f3f744e656b5c537c55d76595ef8c182fb0c2c39de7e24",
-    "train_log_frame_zero.csv": "e1cbb0d7cb320bc18eeef979fb7621717263405bcc596ffdef45788ce38cdf7a",
-    "train_log_none.csv": "d968d8c98d9c0d7cf490da2c0a083382b14b4d32283d89cf9738f5c3606e9c7e",
+    "model_clip_zero.ckpt": "55a87af985e19fb6ae21f4572831ab92605321d988d30b83b6874218dee6580a",
+    "model_frame_repeat.ckpt": "6cad5d15ea6f97a84ed7c9c7ce7bb6b407f56cd79dbf028c72de92da22ebe4cd",
+    "model_frame_zero.ckpt": "4488ea5cf46662c8d60aa31631a5193c17ed1ce46ae6161500737e9143885716",
+    "model_none.ckpt": "4428acb0056fcf6ec9cb8715a1ac8ddc01c15d9ba6ebec401f037ff63eb49016",
+    "sweep_clip_zero_audio.csv": "b8411c8d69ba1193b2b83bd231a4775907490f8d7c49a3cb98f10f4208c8a406",
+    "sweep_clip_zero_video.csv": "161cba7d7b16dc26e4589fea303811160291e8c059779d03e96a4ae3197bbed5",
+    "sweep_frame_repeat_audio.csv": "232297e1f402f006be7dbf71bbc6b3e12e9ef8d78e0177134a95622f4f270786",
+    "sweep_frame_repeat_video.csv": "8b651c417c8578f03b6d356eba2c62d3ea6e601238a9aff1332da2ae4819c3b6",
+    "sweep_frame_zero_audio.csv": "05c3a4f4557eaf3331007cdf05ee6eff0031e47707051496dc2dd7133e51a25f",
+    "sweep_frame_zero_video.csv": "8b74258271ea9c9b7055d81123450bf19c7b01e8cbd5ab7c5fc93326621af870",
+    "train_log_clip_zero.csv": "c7bc336cd04a6626dbca53090cbdeeac027be75840df46a405d71155861402be",
+    "train_log_frame_repeat.csv": "4603a080b2b67a7e78208fb0b6892f516cf4512aad4ed120f6fe67c92aeb74ca",
+    "train_log_frame_zero.csv": "2b940fa28be558332a749512f0ed70f8b08b80a8969f5c7c97056cb00a8ea91a",
+    "train_log_none.csv": "630fcec2d77f187e971953473251af58516b5859ef0aa886c875e21f2d1637c7",
 }
 
 
@@ -57,8 +61,30 @@ def quick_study_digests(out: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def test_quick_study_output_is_byte_identical(tmp_path):
-    assert quick_study_digests(tmp_path / "quick") == QUICK_DIGESTS
+@pytest.fixture(scope="module")
+def quick_study(tmp_path_factory):
+    out = tmp_path_factory.mktemp("study") / "quick"
+    return out, quick_study_digests(out)
+
+
+def test_quick_study_output_is_byte_identical(quick_study):
+    assert quick_study[1] == QUICK_DIGESTS
+
+
+def test_cli_reproduces_the_quick_studys_checkpoint_and_merged_sweep(quick_study, tmp_path):
+    quick, data = quick_study[0], str(quick_study[0] / "data.avxd")
+    ckpt = tmp_path / "cli.ckpt"
+    assert main(["train", "--config", str(quick / "config_frame_zero.json"), "--data", data,
+                 "--out", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == (quick / "model_frame_zero.ckpt").read_bytes()
+    sweeps = [str(tmp_path / f"trained_{label}.csv") for label in LABELS]
+    for label, sweep in zip(LABELS, sweeps):
+        assert main(["eval-sweep", "--model", str(quick / f"model_{label}.ckpt"), "--data", data,
+                     "--strategy", "frame_zero", "--modality", "video", "--seed", "1234",
+                     "--out", sweep]) == 0
+    merged = tmp_path / "merged.csv"
+    assert main(["report", *sweeps, "--out", str(merged)]) == 0
+    assert merged.read_bytes() == (quick / "sweep_frame_zero_video.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -67,6 +93,9 @@ def test_quick_study_output_is_byte_identical(tmp_path):
     # the last --out wins: a file, and a path through that file
     (["--out", "{file}"], "--out: cannot create directory '{file}': File exists"),
     (["--out", "{file}/sub"], "--out: cannot create directory '{file}/sub': Not a directory"),
+    # argparse's errors take the same one-line form
+    (["--epochs", "two"], "argument --epochs: invalid int value: 'two'"),
+    (["--quik"], "unrecognized arguments: --quik"),
 ])
 def test_study_rejects_a_bad_seed_or_epoch_count_before_writing(tmp_path, argv, message):
     out, file = tmp_path / "study", tmp_path / "file"
@@ -79,14 +108,21 @@ def test_study_rejects_a_bad_seed_or_epoch_count_before_writing(tmp_path, argv, 
     assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
-def test_progress_line_reports_the_best_epochs_val_ccc():
+def test_study_stops_at_the_first_failing_command(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("study", SCRIPT)
     study = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(study)
-    epoch_log = study.harness.EpochLog
-    log = [epoch_log(0, 0.9, 0.5, 0.25), epoch_log(1, 0.8, 0.125, 0.0625)]
-    line = study.trained_line("none", 3.0, study.harness.TrainResult({}, None, log, 0))
-    assert line == "trained none         in     3s  best epoch 0  val ccc +0.500/+0.250"
+    real_main, commands = study.cli.main, []
+
+    def fail_train(argv):
+        commands.append(argv[0])
+        return 2 if argv[0] == "train" else real_main(argv)
+
+    monkeypatch.setattr(study.cli, "main", fail_train)
+    assert study.main(["--out", str(tmp_path), "--quick"]) == 2
+    assert commands == ["synth", "train"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config_none.json", "data.avxd",
+                                                          "data.json"]
 
 
 if __name__ == "__main__":
