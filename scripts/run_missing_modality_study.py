@@ -2,12 +2,11 @@
 """End-to-end missing-modality study on synthetic data, run as `avfusion` commands.
 
 Synthesizes a dataset, trains a baseline plus one model per training ablation
-strategy, sweeps every model under clip/frame corruption of both modalities
-and reports one merged CSV per (corruption, modality) pair. Apart from its
+strategy, and sweeps all four models under clip/frame corruption of both
+modalities into one merged CSV per (corruption, modality) pair. Apart from its
 JSON configs, every file in --out is written by the `avfusion` command printed
-before it, from the study's own files; the per-model sweep CSVs go to a
-temporary directory. The study stops with the exit code of the first command
-that fails.
+before it, from the study's own files. The study stops with the exit code of
+the first command that fails.
 
 Usage:
     python scripts/run_missing_modality_study.py --out runs/study
@@ -17,7 +16,6 @@ Usage:
 import json
 import shlex
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -84,28 +82,21 @@ def main(argv=None) -> int:
         return code
 
     labels = ("none",) + STRATEGIES
-    for label in labels:
+    # each checkpoint's file stem is its column label in the merged tables
+    ckpts = [out / f"trained_{label}.ckpt" for label in labels]
+    for label, ckpt in zip(labels, ckpts):
         config = out / f"config_{label}.json"
         config.write_text(json.dumps(run_config(label, args.seed, args.epochs), indent=2))
         if code := avfusion("train", "--config", config, "--data", out / "data.avxd",
-                            "--out", out / f"model_{label}.ckpt",
-                            "--log", out / f"train_log_{label}.csv"):
+                            "--out", ckpt, "--log", out / f"train_log_{label}.csv"):
             return code
 
-    with tempfile.TemporaryDirectory() as tmp:
-        # each sweep's file stem is its column label in the merged table
-        sweeps = [Path(tmp) / f"trained_{label}.csv" for label in labels]
-        for modality in ("video", "audio"):
-            for strategy in STRATEGIES:
-                for label, sweep in zip(labels, sweeps):
-                    if code := avfusion("eval-sweep", "--model", out / f"model_{label}.ckpt",
-                                        "--data", out / "data.avxd", "--strategy", strategy,
-                                        "--modality", modality, "--seed", SWEEP_SEED,
-                                        "--out", sweep):
-                        return code
-                if code := avfusion("report", *sweeps,
-                                    "--out", out / f"sweep_{strategy}_{modality}.csv"):
-                    return code
+    for modality in ("video", "audio"):
+        for strategy in STRATEGIES:
+            if code := avfusion("eval-sweep", "--model", *ckpts, "--data", out / "data.avxd",
+                                "--strategy", strategy, "--modality", modality, "--seed",
+                                SWEEP_SEED, "--out", out / f"sweep_{strategy}_{modality}.csv"):
+                return code
 
     print(f"\nartifacts in {out}")
     return 0

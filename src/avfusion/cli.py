@@ -49,21 +49,21 @@ def _build_parser() -> ArgumentParser:
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log", help="per-epoch CSV log path")
 
-    p = sub.add_parser("eval-sweep", help="evaluate a checkpoint across corruption probabilities")
-    p.add_argument("--model", required=True, help="checkpoint path")
+    p = sub.add_parser("eval-sweep", help="score checkpoints across corruption probabilities")
+    p.add_argument("--model", required=True, nargs="+", help="checkpoints, labelled by file stem")
     p.add_argument("--data", required=True, help="dataset file (the val clips of its 0.8/0.2 split)")
     p.add_argument("--strategy", required=True, choices=STRATEGIES,
                    help="corruption to sweep; its probability 0 scores clean windows")
     p.add_argument("--modality", required=True, choices=MODALITIES)
     p.add_argument("--probs", help="comma-separated probabilities (default: the paper grid)")
     p.add_argument("--seed", type=int, default=0, help="sweep corruption seed")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True, help="output merged CSV path")
 
     p = sub.add_parser("gradcheck", help="verify model gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("report", help="merge sweep CSVs into a comparison table")
-    p.add_argument("csvs", nargs="+", help="sweep CSV files, one model each or already merged")
+    p = sub.add_parser("report", help="merge sweep tables into one comparison table")
+    p.add_argument("csvs", nargs="+", help="merged CSV files that eval-sweep or report wrote")
     p.add_argument("--out", required=True, help="merged CSV path")
     return parser
 
@@ -96,13 +96,7 @@ def cmd_train(args) -> int:
 def cmd_eval_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    params, config = load_checkpoint(args.model)
-    prep = harness.prepare_data(load_dataset(args.data), SplitFractions(), config.seq_len)
-    first = prep.val_windows[0]
-    if (config.d_audio, config.d_video) != (first.audio.shape[1], first.video.shape[1]):
-        raise DimensionMismatchError(
-            f"checkpoint expects audio {config.d_audio} / video {config.d_video} dims, "
-            f"data provides {first.audio.shape[1]} / {first.video.shape[1]}")
+    labels = harness.model_labels(args.model)
     if args.probs:
         try:
             probs = [float(tok) for tok in args.probs.split(",") if tok != ""]
@@ -115,12 +109,28 @@ def cmd_eval_sweep(args) -> int:
                 raise ConfigError(f"--probs repeats the value {p:g}")
     else:
         probs = list(harness.DEFAULT_GRIDS[args.strategy])
-    rows = harness.run_sweep(params, config, prep.val_windows,
-                             args.strategy, args.modality, probs, args.seed)
-    harness.write_sweep_csv(rows, args.out)
-    for r in rows:
-        print(f"{r.strategy} {r.modality} p={r.probability:g}: "
-              f"ccc {r.ccc_valence:+.4f}/{r.ccc_arousal:+.4f}")
+    models = {}
+    for i, path in enumerate(args.model):
+        params, config = load_checkpoint(path)
+        if i == 0:
+            (windows,) = harness.split_windows(load_dataset(args.data), SplitFractions(),
+                                               config.seq_len, ["val"])
+            first = windows[0]
+        elif config.seq_len != len(first.labels):  # one table scores one set of frames
+            raise ConfigError(f"{str(path)!r}: seq_len {config.seq_len} differs from "
+                              f"{str(args.model[0])!r}'s {len(first.labels)}")
+        if (config.d_audio, config.d_video) != (first.audio.shape[1], first.video.shape[1]):
+            raise DimensionMismatchError(
+                f"{str(path)!r} expects audio {config.d_audio} / video {config.d_video} dims, "
+                f"data provides {first.audio.shape[1]} / {first.video.shape[1]}")
+        rows = harness.run_sweep(params, config, windows,
+                                 args.strategy, args.modality, probs, args.seed)
+        del params  # freed before the next load: one model's params at a time
+        models[labels[i]] = {(r.strategy, r.modality, r.probability):
+                             (r.ccc_valence, r.ccc_arousal) for r in rows}
+    keys = harness.merged_keys(models)
+    harness.write_merged_csv(labels, keys, models, args.out)
+    print(harness.format_merged_table(labels, keys, models))
     return EXIT_OK
 
 
@@ -169,7 +179,10 @@ def _check_output_paths(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its one error line (2) or the help (0)
+        return exc.code
     try:
         _check_output_paths(args)
         with warnings.catch_warnings():

@@ -1,7 +1,6 @@
 """Run orchestration: config parsing, training with ablation augmentation,
 evaluation sweeps over corruption probabilities, the gradient self-check and
-its central finite-difference oracle, and merging sweep tables (in memory or
-read from sweep CSVs).
+its central finite-difference oracle, and reading and merging sweep tables.
 
 Config files have one schema: the dataclasses themselves. A run config
 describes training only, in its `train` (TrainParams), `ablation`
@@ -45,7 +44,6 @@ from .metrics import EvalSummary, ccc_loss, eval_summary
 from .model import ModelConfig, clone_params, init_params, model_forward, param_count
 from .seeding import derive_rng, mix_seed
 
-SWEEP_HEADER = "strategy,modality,probability,seed,ccc_valence,ccc_arousal"
 DEFAULT_GRIDS = {
     "clip_zero": (1.0, 0.7, 0.5, 0.3, 0.0),
     "frame_zero": (1.0, 0.95, 0.90, 0.85, 0.0),
@@ -90,7 +88,7 @@ class SplitFractions:
 
     def __post_init__(self):
         if self.train <= 0 or self.val <= 0 or self.train + self.val > 1.0 + 1e-9:
-            raise ConfigError("splits.train/splits.val must be positive with sum <= 1")
+            raise ConfigError("split fractions must be positive with sum <= 1")
 
 
 @dataclass
@@ -211,28 +209,33 @@ class PreparedData:
     val_windows: list[Window]
 
 
-def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> PreparedData:
-    """Split clips, fit normalization on train, sync, and window both splits;
-    a split with no clip as long as seq_len raises ConfigError."""
+def split_windows(dataset: Dataset, splits: SplitFractions, seq_len: int,
+                  names: list[str]) -> list[list[Window]]:
+    """Each named split's clips normalized by stats fit on the train clips,
+    synced and windowed (val for evaluation), in `names` order; a split with
+    no clip as long as seq_len raises ConfigError."""
     n = len(dataset.clips)
     n_train = int(n * splits.train)
     n_val = int(n * splits.val)
     if n_train < 1 or n_val < 1:
         raise ConfigError(f"splits leave an empty partition ({n_train} train / {n_val} val "
                           f"clips from {n})")
-    train_clips = dataset.clips[:n_train]
-    val_clips = dataset.clips[n_train:n_train + n_val]
-    stats = fit_norm(train_clips)
-    train_synced = [sync_clip(apply_norm(c, stats)) for c in train_clips]
-    val_synced = [sync_clip(apply_norm(c, stats)) for c in val_clips]
-    for split, synced in (("train", train_synced), ("val", val_synced)):
+    clips = {"train": dataset.clips[:n_train], "val": dataset.clips[n_train:n_train + n_val]}
+    stats = fit_norm(clips["train"])
+    windows = []
+    for split in names:
+        synced = [sync_clip(apply_norm(c, stats)) for c in clips[split]]
         longest = max(c.audio.shape[0] for c in synced)
         if longest < seq_len:
             raise ConfigError(f"every {split} clip is shorter than seq_len {seq_len}: "
                               f"the longest has {longest} frames")
-    train_windows = window_clips(train_synced, seq_len)
-    val_windows = window_clips(val_synced, seq_len, evaluation=True)
-    return PreparedData(train_windows, val_windows)
+        windows.append(window_clips(synced, seq_len, evaluation=split == "val"))
+    return windows
+
+
+def prepare_data(dataset: Dataset, splits: SplitFractions, seq_len: int) -> PreparedData:
+    """Both splits' windows (`split_windows`)."""
+    return PreparedData(*split_windows(dataset, splits, seq_len, ["train", "val"]))
 
 
 def _physical_memory() -> int | None:
@@ -397,7 +400,6 @@ class SweepResult:
     strategy: str
     modality: str
     probability: float
-    seed: int
     ccc_valence: float
     ccc_arousal: float
 
@@ -408,14 +410,9 @@ def run_sweep(params: dict, config: ModelConfig, val_windows: list[Window],
     for p in probs:
         spec = AblationSpec(strategy, modality, float(p), seed)
         summary = evaluate_windows(params, config, val_windows, spec)
-        results.append(SweepResult(strategy, modality, float(p), seed,
+        results.append(SweepResult(strategy, modality, float(p),
                                    summary.ccc_valence, summary.ccc_arousal))
     return results
-
-
-def write_sweep_csv(rows: list[SweepResult], path) -> None:
-    _write_csv(path, SWEEP_HEADER, [(r.strategy, r.modality, float(r.probability), r.seed,
-                                     r.ccc_valence, r.ccc_arousal) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -491,65 +488,63 @@ def _parse_float(text: str, path, line: str) -> float:
         raise ReportError(f"{path}: bad number {text!r} in row {line!r}") from exc
 
 
-def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
-    """Parse one CSV into {model label: {(strategy, modality, p): (ccc_v, ccc_a)}}.
+def model_labels(paths) -> list[str]:
+    """Each path's file stem: the label of its model's columns in a merged
+    table. A stem holding a comma or line break, which the merged header
+    cannot hold, or one that two paths share raises ReportError."""
+    labels = []
+    for path in paths:
+        label = Path(path).stem
+        if any(c in label for c in ",\r\n"):
+            # the path is quoted so that the message stays on one line
+            raise ReportError(f"{str(path)!r}: model label {label!r} contains a comma "
+                              "or line break")
+        if label in labels:
+            raise ReportError(f"duplicate model label {label!r}")
+        labels.append(label)
+    return labels
 
-    Accepts both the single-model sweep format that `write_sweep_csv` writes
-    (its seed column must hold an integer) and the merged multi-model format,
-    so merged output can be re-merged unchanged. Either has one row per key:
-    a second row for one key, whatever its seed, raises ReportError naming
-    the key. A strategy or modality `augment` does not know, a probability
-    outside [0, 1] or a CCC outside [-1, 1] (NaN and infinities included) is
-    no sweep's output and raises ReportError naming the row. So does a model
-    label (a single-model CSV's file stem) holding a comma or line break,
-    which the merged format cannot write, and a header with no rows under it.
+
+def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
+    """Parse one merged sweep CSV into {model label: {(strategy, modality, p): (ccc_v, ccc_a)}}.
+
+    A second row for one key raises ReportError naming the key. A strategy or
+    modality `augment` does not know, a probability outside [0, 1] or a CCC
+    outside [-1, 1] (NaN and infinities included) is no sweep's output and
+    raises ReportError naming the row. So does a header with no rows under it.
     """
     lines = [ln for ln in _read_text(path, ReportError).splitlines() if ln]
     if not lines:
         raise ReportError(f"{path}: empty CSV")
     header = lines[0].split(",")
-    single = lines[0] == SWEEP_HEADER
-    if single:
-        labels, first = [Path(path).stem], 4
-        if any(c in labels[0] for c in ",\r\n"):
-            # the merged CSV's header could not hold it as a column name; the
-            # path is quoted so that the message stays on one line
-            raise ReportError(f"{str(path)!r}: model label {labels[0]!r} contains a comma "
-                              "or line break")
-    elif (header[:3] == ["strategy", "modality", "probability"]
-          and len(header) > 3 and len(header) % 2 == 1):  # at least one model's columns
-        labels, first = [], 3
-        for valence, arousal in zip(header[3::2], header[4::2]):
-            label = valence[: -len("_ccc_valence")]
-            if not valence.endswith("_ccc_valence") or arousal != f"{label}_ccc_arousal":
-                raise ReportError(f"{path}: unexpected merged columns {valence!r}, {arousal!r}")
-            labels.append(label)
-        if len(set(labels)) != len(labels):
-            raise ReportError(f"{path}: duplicate model label in header {lines[0]!r}")
-    else:
+    if not (header[:3] == ["strategy", "modality", "probability"]
+            and len(header) > 3 and len(header) % 2 == 1):  # at least one model's columns
         raise ReportError(f"{path}: unrecognized CSV header {lines[0]!r}")
+    labels = []
+    for valence, arousal in zip(header[3::2], header[4::2]):
+        label = valence[: -len("_ccc_valence")]
+        if not valence.endswith("_ccc_valence") or arousal != f"{label}_ccc_arousal":
+            raise ReportError(f"{path}: unexpected merged columns {valence!r}, {arousal!r}")
+        labels.append(label)
+    if len(set(labels)) != len(labels):
+        raise ReportError(f"{path}: duplicate model label in header {lines[0]!r}")
     if len(lines) == 1:  # every sweep writes at least one row
         raise ReportError(f"{path}: no rows")
     tables: dict[str, dict[tuple, tuple[float, float]]] = {label: {} for label in labels}
     for ln in lines[1:]:
         row = ln.split(",")
-        if len(row) != first + 2 * len(labels):
+        if len(row) != 3 + 2 * len(labels):
             raise ReportError(f"{path}: malformed row {row!r}")
         if row[0] not in STRATEGIES or row[1] not in MODALITIES:
             raise ReportError(f"{path}: unknown strategy or modality in row {ln!r}")
         key = (row[0], row[1], _parse_float(row[2], path, ln))
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
-        try:  # eval-sweep writes an integer seed
-            if single:
-                int(row[3])
-        except ValueError as exc:
-            raise ReportError(f"{path}: seed {row[3]!r} is not an integer in row {ln!r}") from exc
         if key in tables[labels[0]]:
             raise ReportError(f"{path}: duplicate row for {key}")
         for j, label in enumerate(labels):
-            pair = (_parse_float(row[first + 2 * j], path, ln),
-                    _parse_float(row[first + 2 * j + 1], path, ln))
+            pair = (_parse_float(row[3 + 2 * j], path, ln),
+                    _parse_float(row[4 + 2 * j], path, ln))
             for value in pair:
                 if not abs(value) <= 1.0:
                     raise ReportError(f"{path}: CCC {value!r} outside [-1, 1] in row {ln!r}")
@@ -557,21 +552,9 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
     return tables
 
 
-def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
-    """Read sweep CSVs (either format) and merge their models' tables.
-
-    Returns (model labels in input order, (strategy, modality, probability)
-    keys sorted by falling probability, {label: {key: (v, a)}}). Raises
-    ReportError listing missing keys when the grids are inconsistent.
-    """
-    if not paths:
-        raise ReportError("report needs at least one CSV")
-    models: dict[str, dict[tuple, tuple[float, float]]] = {}
-    for path in paths:
-        for label, table in read_sweep_results(path).items():
-            if label in models:
-                raise ReportError(f"duplicate model label {label!r}")
-            models[label] = table
+def merged_keys(models: dict) -> list[tuple]:
+    """The keys of the models' tables by falling probability; a model missing
+    a key another has raises ReportError listing what each model misses."""
     all_keys = sorted({k for table in models.values() for k in table},
                       key=lambda k: (k[0], k[1], -k[2]))
     problems = []
@@ -581,7 +564,19 @@ def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
             problems.append(f"{label} missing {', '.join(map(str, missing))}")
     if problems:
         raise ReportError("inconsistent probability grids: " + "; ".join(problems))
-    return list(models), all_keys, models
+    return all_keys
+
+
+def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
+    """(model labels in input order, `merged_keys`, {label: {key: (v, a)}}) of
+    merged sweep CSVs; a label that two inputs share raises ReportError."""
+    models: dict[str, dict[tuple, tuple[float, float]]] = {}
+    for path in paths:
+        for label, table in read_sweep_results(path).items():
+            if label in models:
+                raise ReportError(f"duplicate model label {label!r}")
+            models[label] = table
+    return list(models), merged_keys(models), models
 
 
 def write_merged_csv(labels: list[str], keys: list[tuple], models: dict, path) -> None:

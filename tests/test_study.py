@@ -36,10 +36,6 @@ QUICK_DIGESTS = {
     "config_none.json": "6f11d2f5482ec5a121e87db144f37e922cab136f1a604a4072215665ff3fece5",
     "data.avxd": "19d0f776ecefcbde2730eadde956137ade4487ce4716563a6b5781b93acfb096",
     "data.json": "c0e24bb4a0510c388e53d715824605dbf5fcd37e25de30f29624778d316f9bf8",
-    "model_clip_zero.ckpt": "55a87af985e19fb6ae21f4572831ab92605321d988d30b83b6874218dee6580a",
-    "model_frame_repeat.ckpt": "6cad5d15ea6f97a84ed7c9c7ce7bb6b407f56cd79dbf028c72de92da22ebe4cd",
-    "model_frame_zero.ckpt": "4488ea5cf46662c8d60aa31631a5193c17ed1ce46ae6161500737e9143885716",
-    "model_none.ckpt": "4428acb0056fcf6ec9cb8715a1ac8ddc01c15d9ba6ebec401f037ff63eb49016",
     "sweep_clip_zero_audio.csv": "b8411c8d69ba1193b2b83bd231a4775907490f8d7c49a3cb98f10f4208c8a406",
     "sweep_clip_zero_video.csv": "161cba7d7b16dc26e4589fea303811160291e8c059779d03e96a4ae3197bbed5",
     "sweep_frame_repeat_audio.csv": "232297e1f402f006be7dbf71bbc6b3e12e9ef8d78e0177134a95622f4f270786",
@@ -50,6 +46,10 @@ QUICK_DIGESTS = {
     "train_log_frame_repeat.csv": "4603a080b2b67a7e78208fb0b6892f516cf4512aad4ed120f6fe67c92aeb74ca",
     "train_log_frame_zero.csv": "2b940fa28be558332a749512f0ed70f8b08b80a8969f5c7c97056cb00a8ea91a",
     "train_log_none.csv": "630fcec2d77f187e971953473251af58516b5859ef0aa886c875e21f2d1637c7",
+    "trained_clip_zero.ckpt": "55a87af985e19fb6ae21f4572831ab92605321d988d30b83b6874218dee6580a",
+    "trained_frame_repeat.ckpt": "6cad5d15ea6f97a84ed7c9c7ce7bb6b407f56cd79dbf028c72de92da22ebe4cd",
+    "trained_frame_zero.ckpt": "4488ea5cf46662c8d60aa31631a5193c17ed1ce46ae6161500737e9143885716",
+    "trained_none.ckpt": "4428acb0056fcf6ec9cb8715a1ac8ddc01c15d9ba6ebec401f037ff63eb49016",
 }
 
 
@@ -76,14 +76,11 @@ def test_cli_reproduces_the_quick_studys_checkpoint_and_merged_sweep(quick_study
     ckpt = tmp_path / "cli.ckpt"
     assert main(["train", "--config", str(quick / "config_frame_zero.json"), "--data", data,
                  "--out", str(ckpt)]) == 0
-    assert ckpt.read_bytes() == (quick / "model_frame_zero.ckpt").read_bytes()
-    sweeps = [str(tmp_path / f"trained_{label}.csv") for label in LABELS]
-    for label, sweep in zip(LABELS, sweeps):
-        assert main(["eval-sweep", "--model", str(quick / f"model_{label}.ckpt"), "--data", data,
-                     "--strategy", "frame_zero", "--modality", "video", "--seed", "1234",
-                     "--out", sweep]) == 0
+    assert ckpt.read_bytes() == (quick / "trained_frame_zero.ckpt").read_bytes()
     merged = tmp_path / "merged.csv"
-    assert main(["report", *sweeps, "--out", str(merged)]) == 0
+    ckpts = [str(quick / f"trained_{label}.ckpt") for label in LABELS]
+    assert main(["eval-sweep", "--model", *ckpts, "--data", data, "--strategy", "frame_zero",
+                 "--modality", "video", "--seed", "1234", "--out", str(merged)]) == 0
     assert merged.read_bytes() == (quick / "sweep_frame_zero_video.csv").read_bytes()
 
 
