@@ -3,10 +3,10 @@
 
 Synthesizes a dataset, trains a baseline plus one model per training ablation
 strategy, and sweeps all four models under clip/frame corruption of both
-modalities into one merged CSV per (corruption, modality) pair. Apart from its
-JSON configs, every file in --out is written by the `avfusion` command printed
-before it, from the study's own files. The study stops with the exit code of
-the first command that fails.
+modalities into one merged CSV, sweep.csv. Apart from its JSON configs, every
+file in --out is written by the `avfusion` command printed before it, from the
+study's own files. The study stops with the exit code of the first command
+that fails.
 
 Usage:
     python scripts/run_missing_modality_study.py --out runs/study
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         return code
 
     labels = ("none",) + STRATEGIES
-    # each checkpoint's file stem is its column label in the merged tables
+    # each checkpoint's file stem is its column label in the merged table
     ckpts = [out / f"trained_{label}.ckpt" for label in labels]
     for label, ckpt in zip(labels, ckpts):
         config = out / f"config_{label}.json"
@@ -91,12 +91,10 @@ def main(argv=None) -> int:
                             "--out", ckpt, "--log", out / f"train_log_{label}.csv"):
             return code
 
-    for modality in ("video", "audio"):
-        for strategy in STRATEGIES:
-            if code := avfusion("eval-sweep", "--model", *ckpts, "--data", out / "data.avxd",
-                                "--strategy", strategy, "--modality", modality, "--seed",
-                                SWEEP_SEED, "--out", out / f"sweep_{strategy}_{modality}.csv"):
-                return code
+    if code := avfusion("eval-sweep", "--model", *ckpts, "--data", out / "data.avxd",
+                        "--strategy", *STRATEGIES, "--modality", "video", "audio",
+                        "--seed", SWEEP_SEED, "--out", out / "sweep.csv"):
+        return code
 
     print(f"\nartifacts in {out}")
     return 0

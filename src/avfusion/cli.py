@@ -52,10 +52,11 @@ def _build_parser() -> ArgumentParser:
     p = sub.add_parser("eval-sweep", help="score checkpoints across corruption probabilities")
     p.add_argument("--model", required=True, nargs="+", help="checkpoints, labelled by file stem")
     p.add_argument("--data", required=True, help="dataset file (the val clips of its 0.8/0.2 split)")
-    p.add_argument("--strategy", required=True, choices=STRATEGIES,
-                   help="corruption to sweep; its probability 0 scores clean windows")
-    p.add_argument("--modality", required=True, choices=MODALITIES)
-    p.add_argument("--probs", help="comma-separated probabilities (default: the paper grid)")
+    p.add_argument("--strategy", required=True, nargs="+", choices=STRATEGIES,
+                   help="corruptions to sweep; probability 0 scores clean windows")
+    p.add_argument("--modality", required=True, nargs="+", choices=MODALITIES,
+                   help="modalities to corrupt, each under every --strategy")
+    p.add_argument("--probs", help="comma-separated probabilities (default: the paper grids)")
     p.add_argument("--seed", type=int, default=0, help="sweep corruption seed")
     p.add_argument("--out", required=True, help="output merged CSV path")
 
@@ -97,18 +98,25 @@ def cmd_eval_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     labels = harness.model_labels(args.model)
-    if args.probs:
-        try:
-            probs = [float(tok) for tok in args.probs.split(",") if tok != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad --probs list {args.probs!r}") from exc
-        if not probs:
-            raise ConfigError("--probs is empty")
-        for i, p in enumerate(probs):
-            if p in probs[:i]:  # a second row for one point would count it twice in `report`
-                raise ConfigError(f"--probs repeats the value {p:g}")
-    else:
-        probs = list(harness.DEFAULT_GRIDS[args.strategy])
+    try:
+        probs = [float(tok) for tok in (args.probs or "").split(",") if tok != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad --probs list {args.probs!r}") from exc
+    if args.probs is not None and not probs:
+        raise ConfigError("--probs is empty")
+    if bad := [p for p in probs if not 0.0 <= p <= 1.0]:  # NaN included
+        raise ConfigError(f"--probs must be in [0, 1], got {bad[0]:g}")
+    for flag, values, fmt in (("strategy", args.strategy, ""), ("modality", args.modality, ""),
+                              ("probs", probs, "g")):
+        for i, v in enumerate(values):
+            if v in values[:i]:  # one point would get two rows, which `report` refuses
+                raise ConfigError(f"--{flag} repeats the value {v:{fmt}}")
+    # ablate_sequence returns its input if no frame is missing and fresh zeros if all are, so
+    # p=0 is one clean input and p=1 one zero input per modality, each scored at its first point
+    inputs = {(s, m, p): "clean" if p == 0 else (m, "zeros") if p == 1 else (s, m, p)
+              for s in args.strategy for m in args.modality
+              for p in probs or harness.DEFAULT_GRIDS[s]}
+    scored = {key: pt for pt, key in reversed(inputs.items())}  # each input's first point
     models = {}
     for i, path in enumerate(args.model):
         params, config = load_checkpoint(path)
@@ -123,11 +131,11 @@ def cmd_eval_sweep(args) -> int:
             raise DimensionMismatchError(
                 f"{str(path)!r} expects audio {config.d_audio} / video {config.d_video} dims, "
                 f"data provides {first.audio.shape[1]} / {first.video.shape[1]}")
-        rows = harness.run_sweep(params, config, windows,
-                                 args.strategy, args.modality, probs, args.seed)
+        rows = {key: harness.run_sweep(params, config, windows, *pt[:2], [pt[2]], args.seed)[0]
+                for key, pt in scored.items()}
         del params  # freed before the next load: one model's params at a time
-        models[labels[i]] = {(r.strategy, r.modality, r.probability):
-                             (r.ccc_valence, r.ccc_arousal) for r in rows}
+        models[labels[i]] = {pt: (rows[key].ccc_valence, rows[key].ccc_arousal)
+                             for pt, key in inputs.items()}
     keys = harness.merged_keys(models)
     harness.write_merged_csv(labels, keys, models, args.out)
     print(harness.format_merged_table(labels, keys, models))

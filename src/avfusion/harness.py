@@ -589,17 +589,10 @@ def write_merged_csv(labels: list[str], keys: list[tuple], models: dict, path) -
 
 
 def format_merged_table(labels: list[str], keys: list[tuple], models: dict) -> str:
-    """Plain-text aligned comparison table."""
-    header = ["strategy", "modality", "p"]
-    for label in labels:
-        header += [f"{label}:V", f"{label}:A"]
-    body = []
-    for key in keys:
-        row = [key[0], key[1], f"{key[2]:g}"]
-        for label in labels:
-            v, a = models[label][key]
-            row += [f"{v:+.4f}", f"{a:+.4f}"]
-        body.append(row)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    return "\n".join(fmt.format(*row) for row in [header] + body)
+    """Plain-text aligned comparison table; the last column is not padded."""
+    rows = [["strategy", "modality", "p"] + [f"{label}:{c}" for label in labels for c in "VA"]]
+    rows += [[key[0], key[1], f"{key[2]:g}"]
+             + [f"{x:+.4f}" for label in labels for x in models[label][key]] for key in keys]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
+    fmt = "  ".join([f"{{:<{w}}}" for w in widths] + ["{}"])  # no line ends in a space
+    return "\n".join(fmt.format(*row) for row in rows)

@@ -665,9 +665,10 @@ def test_cli_eval_sweep_columns_follow_the_model_order(cli_artifacts, two_checkp
     labels, keys, models = merge_reports([tmp_path / "ba.csv"])
     assert labels == ["b", "a"] and models["a"] != models["b"]
     assert models == merge_reports([tmp_path / "ab.csv"])[2]
-    # the printed table is report's
-    assert capsys.readouterr().out.endswith(harness.format_merged_table(labels, keys, models)
-                                            + "\n")
+    # the printed table is report's, and no line of it ends in a space
+    printed = capsys.readouterr().out
+    assert printed.endswith(harness.format_merged_table(labels, keys, models) + "\n")
+    assert [ln for ln in printed.splitlines() if ln.endswith(" ")] == []
 
 
 def test_cli_eval_sweep_writes_rows_by_falling_probability(cli_artifacts, two_checkpoints,
@@ -675,6 +676,48 @@ def test_cli_eval_sweep_writes_rows_by_falling_probability(cli_artifacts, two_ch
     out = tmp_path / "s.csv"
     assert eval_sweep(cli_artifacts[2], out, *two_checkpoints, probs="0,0.5,1") == 0
     assert [ln.split(",")[2] for ln in out.read_text().splitlines()[1:]] == ["1.0", "0.5", "0.0"]
+
+
+def sweep_rows(data_path, out, ckpts, strategies, modalities) -> list[str]:
+    """The header and rows that eval-sweep writes on the default grids."""
+    assert main(["eval-sweep", "--model", *map(str, ckpts), "--data", str(data_path),
+                 "--strategy", *strategies, "--modality", *modalities, "--seed", "3",
+                 "--out", str(out)]) == 0
+    return out.read_text().splitlines()
+
+
+def test_cli_eval_sweep_of_every_corruption_writes_each_points_single_sweep_bits(
+        cli_artifacts, two_checkpoints, tmp_path):
+    # p=0 and p=1 are scored once for all corruptions; each row must still be
+    # the bits a sweep of its corruption and modality alone writes
+    data_path = cli_artifacts[2]
+    merged = sweep_rows(data_path, tmp_path / "all.csv", two_checkpoints, STRATEGIES,
+                        MODALITIES)
+    single = []
+    for strategy in STRATEGIES:
+        for modality in MODALITIES:
+            lines = sweep_rows(data_path, tmp_path / f"{strategy}_{modality}.csv",
+                               two_checkpoints, [strategy], [modality])
+            assert lines[0] == merged[0]
+            single += lines[1:]
+    assert len(merged) == 1 + 30 and sorted(merged[1:]) == sorted(single)
+
+
+def test_cli_eval_sweep_scores_each_distinct_input_once_per_checkpoint(
+        cli_artifacts, two_checkpoints, tmp_path, monkeypatch):
+    # the default grids hold 30 points per checkpoint: one clean input (p=0),
+    # one zero input per modality (p=1) and 18 other points
+    calls, evaluate = [], harness.evaluate_windows
+
+    def counted(params, config, windows, spec=None):
+        calls.append(spec)
+        return evaluate(params, config, windows, spec)
+
+    monkeypatch.setattr(harness, "evaluate_windows", counted)
+    lines = sweep_rows(cli_artifacts[2], tmp_path / "all.csv", two_checkpoints, STRATEGIES,
+                       MODALITIES)
+    assert len(lines) == 1 + 30 and len(calls) == 2 * 21
+    assert len(set(calls)) == 21
 
 
 def test_cli_eval_sweep_two_checkpoints_of_one_stem_exit_2_before_reading_either(
@@ -706,16 +749,28 @@ def test_cli_eval_sweep_checkpoint_unlike_the_first_exits_without_a_table(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("probs,value", [("0,0", "0"), ("1.0,0.5,0.50", "0.5")])
-def test_cli_eval_sweep_repeated_probability_exits_2(cli_artifacts, tmp_path, capsys, probs,
-                                                     value):
-    _, _, data_path, ckpt_path = cli_artifacts
-    out = tmp_path / "s.csv"
-    assert main(["eval-sweep", "--model", str(ckpt_path), "--data", str(data_path),
-                 "--strategy", "clip_zero", "--modality", "video", "--probs", probs,
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --probs repeats the value {value}\n"
-    assert not out.exists()
+@pytest.mark.parametrize("flags,message", [
+    pytest.param(["--probs", "0,0"], "--probs repeats the value 0", id="0,0-0"),
+    pytest.param(["--probs", "1.0,0.5,0.50"], "--probs repeats the value 0.5",
+                 id="1.0,0.5,0.50-0.5"),
+    # one point would get two rows
+    pytest.param(["--strategy", "clip_zero", "frame_zero", "clip_zero"],
+                 "--strategy repeats the value clip_zero", id="repeated-strategy"),
+    pytest.param(["--modality", "audio", "audio"], "--modality repeats the value audio",
+                 id="repeated-modality"),
+    pytest.param(["--probs", "0,1.5"], "--probs must be in [0, 1], got 1.5", id="above-1"),
+    pytest.param(["--probs", "-0.1"], "--probs must be in [0, 1], got -0.1", id="below-0"),
+    pytest.param(["--probs", "0.5,nan"], "--probs must be in [0, 1], got nan", id="nan"),
+    pytest.param(["--probs", ""], "--probs is empty", id="empty"),
+])
+def test_cli_eval_sweep_repeated_probability_exits_2(tmp_path, monkeypatch, capsys, flags,
+                                                     message):
+    # before any file is read: neither input exists
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy",
+                 "clip_zero", "--modality", "video", *flags, "--out", "s.csv"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_invalid_json_exits_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from avfusion.augment import STRATEGIES
 from avfusion.cli import main
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_missing_modality_study.py"
-LABELS = ("none",) + STRATEGIES  # the study's models, in its merged tables' column order
+LABELS = ("none",) + STRATEGIES  # the study's models, in its merged table's column order
 
 QUICK_DIGESTS = {
     "config_clip_zero.json": "61fc6d2c33363f813efaf9cbe97ddc379d6a9ad17f49cc992608fa6bf00f025e",
@@ -36,12 +36,7 @@ QUICK_DIGESTS = {
     "config_none.json": "6f11d2f5482ec5a121e87db144f37e922cab136f1a604a4072215665ff3fece5",
     "data.avxd": "19d0f776ecefcbde2730eadde956137ade4487ce4716563a6b5781b93acfb096",
     "data.json": "c0e24bb4a0510c388e53d715824605dbf5fcd37e25de30f29624778d316f9bf8",
-    "sweep_clip_zero_audio.csv": "b8411c8d69ba1193b2b83bd231a4775907490f8d7c49a3cb98f10f4208c8a406",
-    "sweep_clip_zero_video.csv": "161cba7d7b16dc26e4589fea303811160291e8c059779d03e96a4ae3197bbed5",
-    "sweep_frame_repeat_audio.csv": "232297e1f402f006be7dbf71bbc6b3e12e9ef8d78e0177134a95622f4f270786",
-    "sweep_frame_repeat_video.csv": "8b651c417c8578f03b6d356eba2c62d3ea6e601238a9aff1332da2ae4819c3b6",
-    "sweep_frame_zero_audio.csv": "05c3a4f4557eaf3331007cdf05ee6eff0031e47707051496dc2dd7133e51a25f",
-    "sweep_frame_zero_video.csv": "8b74258271ea9c9b7055d81123450bf19c7b01e8cbd5ab7c5fc93326621af870",
+    "sweep.csv": "188fe426275fa64833c149fe968bb92ad79e2f01465533a864f2b9caa18d3828",
     "train_log_clip_zero.csv": "c7bc336cd04a6626dbca53090cbdeeac027be75840df46a405d71155861402be",
     "train_log_frame_repeat.csv": "4603a080b2b67a7e78208fb0b6892f516cf4512aad4ed120f6fe67c92aeb74ca",
     "train_log_frame_zero.csv": "2b940fa28be558332a749512f0ed70f8b08b80a8969f5c7c97056cb00a8ea91a",
@@ -79,9 +74,9 @@ def test_cli_reproduces_the_quick_studys_checkpoint_and_merged_sweep(quick_study
     assert ckpt.read_bytes() == (quick / "trained_frame_zero.ckpt").read_bytes()
     merged = tmp_path / "merged.csv"
     ckpts = [str(quick / f"trained_{label}.ckpt") for label in LABELS]
-    assert main(["eval-sweep", "--model", *ckpts, "--data", data, "--strategy", "frame_zero",
-                 "--modality", "video", "--seed", "1234", "--out", str(merged)]) == 0
-    assert merged.read_bytes() == (quick / "sweep_frame_zero_video.csv").read_bytes()
+    assert main(["eval-sweep", "--model", *ckpts, "--data", data, "--strategy", *STRATEGIES,
+                 "--modality", "video", "audio", "--seed", "1234", "--out", str(merged)]) == 0
+    assert merged.read_bytes() == (quick / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv,message", [
