@@ -13,6 +13,10 @@ Every strategy is a missing-frame mask plus one fill, a pure function of
   repeat. Otherwise `frame_repeat` carries the last retained frame forward
   (`carry_forward_fill`) and the other strategies zero the missing frames of
   a copy. The input is never written.
+
+`input_key` says which specs feed a model the same input, so that a sweep
+scores each distinct input once; a new fill or corruption parameter changes
+it here, next to the fills that make it true.
 """
 
 from __future__ import annotations
@@ -50,6 +54,25 @@ def missing_frames(spec: AblationSpec, t: int, rng: np.random.Generator) -> np.n
     if spec.strategy == "clip_zero":
         return np.full(t, rng.random() < spec.probability)
     return rng.random(t) < spec.probability
+
+
+def input_key(spec: AblationSpec) -> tuple:
+    """A key that two specs share only if `ablate_sequence` returns bitwise
+    equal output under both, for every sequence and stream index.
+
+    `missing_frames` compares uniforms in [0, 1) with the probability, so at
+    p=0 no frame is missing and at p=1 every frame is, whatever the strategy
+    and stream. With no frame missing `ablate_sequence` returns its input, so
+    p=0 of every strategy and modality is one clean key. With every frame
+    missing it returns zeros, so p=1 of every strategy is one zeros key per
+    modality. Any other point draws its mask from its seed and fills by its
+    strategy, and keys on all four fields.
+    """
+    if spec.probability == 0.0:
+        return ("clean",)
+    if spec.probability == 1.0:
+        return (spec.modality, "zeros")
+    return (spec.strategy, spec.modality, spec.probability, spec.seed)
 
 
 def carry_forward_fill(seq: np.ndarray, mask: np.ndarray) -> np.ndarray:

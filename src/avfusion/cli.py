@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 from . import harness
-from .augment import MODALITIES, STRATEGIES
+from .augment import MODALITIES, STRATEGIES, AblationSpec
 from .binio import FileFormatError
 from .data import FPS_AUDIO, FPS_VIDEO, generate_synthetic, load_dataset, save_dataset
 from .harness import ConfigError, DimensionMismatchError, SplitFractions, load_run_config
@@ -111,12 +111,8 @@ def cmd_eval_sweep(args) -> int:
         for i, v in enumerate(values):
             if v in values[:i]:  # one point would get two rows, which `report` refuses
                 raise ConfigError(f"--{flag} repeats the value {v:{fmt}}")
-    # ablate_sequence returns its input if no frame is missing and fresh zeros if all are, so
-    # p=0 is one clean input and p=1 one zero input per modality, each scored at its first point
-    inputs = {(s, m, p): "clean" if p == 0 else (m, "zeros") if p == 1 else (s, m, p)
-              for s in args.strategy for m in args.modality
-              for p in probs or harness.DEFAULT_GRIDS[s]}
-    scored = {key: pt for pt, key in reversed(inputs.items())}  # each input's first point
+    specs = [AblationSpec(s, m, p, args.seed) for s in args.strategy for m in args.modality
+             for p in probs or harness.DEFAULT_GRIDS[s]]
     models = {}
     for i, path in enumerate(args.model):
         params, config = load_checkpoint(path)
@@ -131,11 +127,10 @@ def cmd_eval_sweep(args) -> int:
             raise DimensionMismatchError(
                 f"{str(path)!r} expects audio {config.d_audio} / video {config.d_video} dims, "
                 f"data provides {first.audio.shape[1]} / {first.video.shape[1]}")
-        rows = {key: harness.run_sweep(params, config, windows, *pt[:2], [pt[2]], args.seed)[0]
-                for key, pt in scored.items()}
+        summaries = harness.score_specs(params, config, windows, specs)
         del params  # freed before the next load: one model's params at a time
-        models[labels[i]] = {pt: (rows[key].ccc_valence, rows[key].ccc_arousal)
-                             for pt, key in inputs.items()}
+        models[labels[i]] = {(spec.strategy, spec.modality, spec.probability):
+                             (s.ccc_valence, s.ccc_arousal) for spec, s in zip(specs, summaries)}
     keys = harness.merged_keys(models)
     harness.write_merged_csv(labels, keys, models, args.out)
     print(harness.format_merged_table(labels, keys, models))
@@ -169,9 +164,10 @@ _COMMANDS = {
 
 
 def _check_output_paths(args) -> None:
-    # before any work: a missing directory would otherwise fail only at the
-    # write, after the training or sweep it was to save, and an output that
-    # is another path of the command would overwrite it
+    # before any work: a missing directory, or an output that is a directory,
+    # would otherwise fail only at the write, after the training or sweep it
+    # was to save, and an output that is another path of the command would
+    # overwrite it
     named = {}  # resolved path: the first flag naming it
     for flag in ("config", "data", "model", "csvs", "out", "log"):
         value = getattr(args, flag, None)
@@ -181,6 +177,8 @@ def _check_output_paths(args) -> None:
                 parent = Path(path).parent
                 if not parent.is_dir():
                     raise ConfigError(f"--{flag}: directory {str(parent)!r} does not exist")
+                if Path(path).is_dir():
+                    raise ConfigError(f"--{flag}: {path!r} is a directory")
                 if real in named:
                     raise ConfigError(f"--{flag}: {path!r} is also {named[real]}")
             named.setdefault(real, "a report input" if flag == "csvs" else f"--{flag}")

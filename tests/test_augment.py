@@ -11,6 +11,7 @@ from avfusion.augment import (
     AblationSpec,
     ablate_sequence,
     carry_forward_fill,
+    input_key,
     missing_frames,
 )
 from avfusion.data import Window, stack_context
@@ -201,6 +202,19 @@ def test_apply_never_changes_shapes_or_labels(strategy, modality, p, seed):
     assert audio.shape == stacked(windows, "audio").shape
     assert video.shape == stacked(windows, "video").shape
     assert_untouched(windows, before)
+
+
+def test_specs_share_an_input_key_exactly_when_they_feed_the_same_input():
+    # a sweep scores one input per key, so a key shared by two different
+    # inputs would write one's score into the other's rows
+    windows = [make_window(i) for i in range(8)]
+    specs = [AblationSpec(s, m, p, seed) for s in STRATEGIES for m in MODALITIES
+             for p in (0.0, 0.5, 1.0) for seed in (1, 2)]
+    inputs = {spec: [x.tobytes() for x in corrupt_windows(windows, spec, range(8))]
+              for spec in specs}
+    for a in specs:
+        for b in specs:
+            assert (input_key(a) == input_key(b)) == (inputs[a] == inputs[b]), (a, b)
 
 
 def test_zero_probability_is_a_unit():

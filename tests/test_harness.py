@@ -1176,6 +1176,25 @@ def test_cli_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["synth", "--config", "in.json", "--out", "outdir"], "--out"),
+    (["train", "--config", "in.json", "--data", "d.avxd", "--out", "outdir"], "--out"),
+    (["train", "--config", "in.json", "--data", "d.avxd", "--out", "model.ckpt",
+      "--log", "outdir"], "--log"),
+    (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
+      "--modality", "video", "--out", "outdir"], "--out"),
+    (["report", "s.csv", "--out", "outdir"], "--out"),
+])
+def test_cli_output_that_is_a_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag}: 'outdir' is a directory\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "outdir"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
 def test_report_accepts_the_bounds_of_each_range(tmp_path):
     path = tmp_path / "m.csv"
     _write_csv(path, ["clip_zero,video,0.0,-1.0,1.0", "clip_zero,video,1.0,1.0,-1.0"])
