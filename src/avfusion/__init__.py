@@ -1,5 +1,9 @@
 """Audio-visual valence/arousal regression with a cross-modal attention
-transformer and missing-modality training augmentations."""
+transformer and missing-modality training augmentations.
+
+The names live in the submodules (`avfusion.harness`, `avfusion.cli`, ...).
+Importing the package only sets process state: it pins glibc's malloc
+thresholds, then OpenBLAS's thread count."""
 
 import os
 
@@ -62,25 +66,3 @@ def _one_blas_thread() -> None:
 
 _pin_malloc_thresholds()
 _one_blas_thread()
-
-from .augment import AblationSpec
-from .data import ClipRecord, Dataset, NormStats, SyntheticConfig
-from .metrics import EvalSummary, ccc, ccc_loss, eval_summary
-from .model import ModelConfig, init_params, load_checkpoint, model_forward, save_checkpoint
-
-__all__ = [
-    "AblationSpec",
-    "ClipRecord",
-    "Dataset",
-    "EvalSummary",
-    "ModelConfig",
-    "NormStats",
-    "SyntheticConfig",
-    "ccc",
-    "ccc_loss",
-    "eval_summary",
-    "init_params",
-    "load_checkpoint",
-    "model_forward",
-    "save_checkpoint",
-]

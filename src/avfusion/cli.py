@@ -99,7 +99,8 @@ def cmd_eval_sweep(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     labels = harness.model_labels(args.model)
     try:
-        probs = [float(tok) for tok in (args.probs or "").split(",") if tok != ""]
+        # `+ 0.0` reads "-0" as 0.0, the clean point, not a "-0.0" row beside it
+        probs = [float(tok) + 0.0 for tok in (args.probs or "").split(",") if tok != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --probs list {args.probs!r}") from exc
     if args.probs is not None and not probs:
@@ -131,9 +132,8 @@ def cmd_eval_sweep(args) -> int:
         del params  # freed before the next load: one model's params at a time
         models[labels[i]] = {(spec.strategy, spec.modality, spec.probability):
                              (s.ccc_valence, s.ccc_arousal) for spec, s in zip(specs, summaries)}
-    keys = harness.merged_keys(models)
-    harness.write_merged_csv(labels, keys, models, args.out)
-    print(harness.format_merged_table(labels, keys, models))
+    harness.write_merged_csv(models, args.out)
+    print(harness.format_merged_table(models))
     return EXIT_OK
 
 
@@ -148,9 +148,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_report(args) -> int:
-    labels, keys, models = harness.merge_reports(args.csvs)
-    harness.write_merged_csv(labels, keys, models, args.out)
-    print(harness.format_merged_table(labels, keys, models))
+    models = harness.merge_reports(args.csvs)
+    harness.write_merged_csv(models, args.out)
+    print(harness.format_merged_table(models))
     return EXIT_OK
 
 
@@ -176,7 +176,9 @@ def _check_output_paths(args) -> None:
             if flag in ("out", "log"):
                 parent = Path(path).parent
                 if not parent.is_dir():
-                    raise ConfigError(f"--{flag}: directory {str(parent)!r} does not exist")
+                    raise ConfigError(f"--{flag}: {str(parent)!r} is not a directory"
+                                      if parent.exists() else
+                                      f"--{flag}: directory {str(parent)!r} does not exist")
                 if Path(path).is_dir():
                     raise ConfigError(f"--{flag}: {path!r} is a directory")
                 if real in named:

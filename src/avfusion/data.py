@@ -35,6 +35,10 @@ _DATASET_STREAM = 1 << 32
 
 @dataclass
 class ClipRecord:
+    """One clip's streams and labels. As read or generated, each stream is at
+    its own rate; after `sync_clip` both are at 30 fps and of equal length,
+    and audio is a read-only [T x (60 * D_a)] view sharing one padded frame
+    array (`stack_context`)."""
     id: int
     audio: np.ndarray   # [T_a x D_a] at FPS_AUDIO
     video: np.ndarray   # [T_v x D_v] at FPS_VIDEO
@@ -89,15 +93,6 @@ class NormStats:
     audio_std: np.ndarray
     video_mean: np.ndarray
     video_std: np.ndarray
-
-
-@dataclass
-class SyncedClip:
-    """One clip after the sync pipeline: both streams at 30 fps, equal length."""
-    id: int
-    audio: np.ndarray   # [T x (60 * D_a)], read-only view sharing one padded frame array
-    video: np.ndarray   # [T x D_v]
-    labels: np.ndarray  # [T x 2]
 
 
 @dataclass
@@ -253,7 +248,7 @@ def apply_norm(clip: ClipRecord, stats: NormStats) -> ClipRecord:
     return replace(clip, audio=audio, video=video)
 
 
-def sync_clip(clip: ClipRecord) -> SyncedClip:
+def sync_clip(clip: ClipRecord) -> ClipRecord:
     """Downsample audio, stack its context, truncate both streams to equal length."""
     stacked = stack_context(resample_audio(clip.audio))
     t_audio, t_video = stacked.shape[0], clip.video.shape[0]
@@ -261,7 +256,7 @@ def sync_clip(clip: ClipRecord) -> SyncedClip:
         raise ValueError(f"sync_clip: clip {clip.id} stream lengths diverge: "
                          f"audio {t_audio} vs video {t_video} frames after sync")
     t = min(t_audio, t_video)
-    return SyncedClip(id=clip.id, audio=stacked[:t], video=clip.video[:t],
+    return ClipRecord(id=clip.id, audio=stacked[:t], video=clip.video[:t],
                       labels=clip.labels[:t])
 
 
@@ -269,7 +264,7 @@ def sync_clip(clip: ClipRecord) -> SyncedClip:
 # windowing
 
 
-def window_clips(clips: list[SyncedClip], seq_len: int, evaluation: bool = False) -> list[Window]:
+def window_clips(clips: list[ClipRecord], seq_len: int, evaluation: bool = False) -> list[Window]:
     """Cut synced clips into fixed-length model inputs.
 
     Training: non-overlapping windows, partial tail dropped. Evaluation:

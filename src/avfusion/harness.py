@@ -83,10 +83,9 @@ class TrainParams:
             raise ConfigError("train.seed must be >= 0")
 
 
-@dataclass
 class SplitFractions:
-    train: float = 0.8
-    val: float = 0.2
+    """The shares of a dataset's clips, in file order, that train and validate a model."""
+    train, val = 0.8, 0.2
 
 
 @dataclass
@@ -546,7 +545,8 @@ def read_sweep_results(path) -> dict[str, dict[tuple, tuple[float, float]]]:
             raise ReportError(f"{path}: malformed row {row!r}")
         if row[0] not in STRATEGIES or row[1] not in MODALITIES:
             raise ReportError(f"{path}: unknown strategy or modality in row {ln!r}")
-        key = (row[0], row[1], _parse_float(row[2], path, ln))
+        # `+ 0.0` reads "-0" as 0.0, so it keys the clean row, not a "-0.0" row beside it
+        key = (row[0], row[1], _parse_float(row[2], path, ln) + 0.0)
         if not 0.0 <= key[2] <= 1.0:
             raise ReportError(f"{path}: probability {key[2]!r} outside [0, 1] in row {ln!r}")
         if key in tables[labels[0]]:
@@ -576,32 +576,37 @@ def merged_keys(models: dict) -> list[tuple]:
     return all_keys
 
 
-def merge_reports(paths) -> tuple[list[str], list[tuple], dict]:
-    """(model labels in input order, `merged_keys`, {label: {key: (v, a)}}) of
-    merged sweep CSVs; a label that two inputs share raises ReportError."""
+def merge_reports(paths) -> dict[str, dict[tuple, tuple[float, float]]]:
+    """{model label: {key: (v, a)}} of merged sweep CSVs, labels in input
+    order; a label that two inputs share, or grids that `merged_keys`
+    refuses, raise ReportError."""
     models: dict[str, dict[tuple, tuple[float, float]]] = {}
     for path in paths:
         for label, table in read_sweep_results(path).items():
             if label in models:
                 raise ReportError(f"duplicate model label {label!r}")
             models[label] = table
-    return list(models), merged_keys(models), models
+    merged_keys(models)
+    return models
 
 
-def write_merged_csv(labels: list[str], keys: list[tuple], models: dict, path) -> None:
+def write_merged_csv(models: dict, path) -> None:
+    """The models' tables as one CSV: columns in dict order, rows in `merged_keys` order."""
     header = ["strategy", "modality", "probability"]
-    for label in labels:
+    for label in models:
         header += [f"{label}_ccc_valence", f"{label}_ccc_arousal"]
     _write_csv(path, ",".join(header),
                [(key[0], key[1], float(key[2]),
-                 *(cell for label in labels for cell in models[label][key])) for key in keys])
+                 *(cell for table in models.values() for cell in table[key]))
+                for key in merged_keys(models)])
 
 
-def format_merged_table(labels: list[str], keys: list[tuple], models: dict) -> str:
+def format_merged_table(models: dict) -> str:
     """Plain-text aligned comparison table; the last column is not padded."""
-    rows = [["strategy", "modality", "p"] + [f"{label}:{c}" for label in labels for c in "VA"]]
+    rows = [["strategy", "modality", "p"] + [f"{label}:{c}" for label in models for c in "VA"]]
     rows += [[key[0], key[1], f"{key[2]:g}"]
-             + [f"{x:+.4f}" for label in labels for x in models[label][key]] for key in keys]
+             + [f"{x:+.4f}" for table in models.values() for x in table[key]]
+             for key in merged_keys(models)]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
     fmt = "  ".join([f"{{:<{w}}}" for w in widths] + ["{}"])  # no line ends in a space
     return "\n".join(fmt.format(*row) for row in rows)

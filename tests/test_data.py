@@ -289,9 +289,8 @@ def test_sync_slack_check():
 
 
 def synced(length, clip_id=0):
-    from avfusion.data import SyncedClip
     rows = np.arange(length, dtype=float)[:, None]
-    return SyncedClip(id=clip_id, audio=rows.copy(), video=rows.copy(),
+    return ClipRecord(id=clip_id, audio=rows.copy(), video=rows.copy(),
                       labels=np.column_stack([rows[:, 0], rows[:, 0]]) / max(length, 1))
 
 

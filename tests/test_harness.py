@@ -26,6 +26,7 @@ from avfusion.harness import (
     gradcheck,
     load_synthetic_config,
     merge_reports,
+    merged_keys,
     prepare_data,
     run_config_from_dict,
     run_sweep,
@@ -194,8 +195,9 @@ def test_prepared_windows_share_the_padded_audio(tiny_prep):
 
 
 def test_prepare_data_empty_split_is_error(tiny_dataset):
-    with pytest.raises(ConfigError, match="empty partition"):
-        prepare_data(tiny_dataset, SplitFractions(train=0.99, val=0.01), seq_len=100)
+    # 0.2 of 4 clips rounds down to no val clip
+    with pytest.raises(ConfigError, match=r"empty partition \(3 train / 0 val clips from 4\)"):
+        prepare_data(Dataset(tiny_dataset.clips[:4]), SplitFractions(), seq_len=100)
 
 
 # --- training ---
@@ -512,8 +514,9 @@ def test_report_merges_two_models(tmp_path):
     a, b = tmp_path / "base.csv", tmp_path / "ablated.csv"
     _write_csv(a, ["clip_zero,video,1.0,0.1,0.2"])
     _write_csv(b, ["clip_zero,video,1.0,0.3,0.4"])
-    labels, keys, models = merge_reports([a, b])
-    assert labels == ["base", "ablated"]
+    models = merge_reports([a, b])
+    keys = merged_keys(models)
+    assert list(models) == ["base", "ablated"]
     assert keys == [("clip_zero", "video", 1.0)]
     assert models["base"][keys[0]] == (0.1, 0.2)
     assert models["ablated"][keys[0]] == (0.3, 0.4)
@@ -541,11 +544,9 @@ def test_report_remerge_is_idempotent(tmp_path):
     _write_csv(a, ["clip_zero,video,1.0,0.1,0.2", "clip_zero,video,0.0,0.5,0.6"])
     _write_csv(b, ["clip_zero,video,1.0,0.3,0.4", "clip_zero,video,0.0,0.7,0.8"])
     merged1 = tmp_path / "merged.csv"
-    labels, keys, models = merge_reports([a, b])
-    harness.write_merged_csv(labels, keys, models, merged1)
+    harness.write_merged_csv(merge_reports([a, b]), merged1)
     merged2 = tmp_path / "merged2.csv"
-    labels2, keys2, models2 = merge_reports([merged1])
-    harness.write_merged_csv(labels2, keys2, models2, merged2)
+    harness.write_merged_csv(merge_reports([merged1]), merged2)
     assert merged1.read_bytes() == merged2.read_bytes()
 
 
@@ -554,7 +555,8 @@ def test_report_orders_keys_by_falling_probability_and_names_a_model_missing_one
     rows = [f"frame_repeat,video,{p},0.1,0.2" for p in (0.0, 1.0, 0.5)]
     _write_csv(a, rows)
     _write_csv(b, rows)
-    assert merge_reports([a, b])[1] == [("frame_repeat", "video", p) for p in (1.0, 0.5, 0.0)]
+    assert merged_keys(merge_reports([a, b])) == [("frame_repeat", "video", p)
+                                                  for p in (1.0, 0.5, 0.0)]
     _write_csv(b, rows[:2])
     want = r"trained_clip_zero missing \('frame_repeat', 'video', 0\.5\)"
     with pytest.raises(ReportError, match=want):
@@ -642,7 +644,7 @@ def two_checkpoints(cli_artifacts):
 
 def eval_sweep(data_path, out, *ckpts, probs="1,0.85,0") -> int:
     return main(["eval-sweep", "--model", *map(str, ckpts), "--data", str(data_path),
-                 "--strategy", "frame_zero", "--modality", "audio", "--probs", probs,
+                 "--strategy", "frame_zero", "--modality", "audio", f"--probs={probs}",
                  "--seed", "3", "--out", str(out)])
 
 
@@ -662,13 +664,26 @@ def test_cli_eval_sweep_columns_follow_the_model_order(cli_artifacts, two_checkp
     data_path, (a, b) = cli_artifacts[2], two_checkpoints
     assert eval_sweep(data_path, tmp_path / "ab.csv", a, b) == 0
     assert eval_sweep(data_path, tmp_path / "ba.csv", b, a) == 0
-    labels, keys, models = merge_reports([tmp_path / "ba.csv"])
-    assert labels == ["b", "a"] and models["a"] != models["b"]
-    assert models == merge_reports([tmp_path / "ab.csv"])[2]
+    models = merge_reports([tmp_path / "ba.csv"])
+    assert list(models) == ["b", "a"] and models["a"] != models["b"]
+    assert models == merge_reports([tmp_path / "ab.csv"])
     # the printed table is report's, and no line of it ends in a space
     printed = capsys.readouterr().out
-    assert printed.endswith(harness.format_merged_table(labels, keys, models) + "\n")
+    assert printed.endswith(harness.format_merged_table(models) + "\n")
     assert [ln for ln in printed.splitlines() if ln.endswith(" ")] == []
+
+
+def test_cli_minus_zero_probability_is_the_clean_point(cli_artifacts, two_checkpoints, tmp_path):
+    for name, probs in (("minus", "-0,0.5"), ("zero", "0,0.5")):
+        assert eval_sweep(cli_artifacts[2], tmp_path / f"{name}.csv", *two_checkpoints,
+                          probs=probs) == 0
+    assert (tmp_path / "minus.csv").read_text().splitlines()[-1].split(",")[2] == "0.0"
+    assert (tmp_path / "minus.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+    # a table written with a "-0" row reports it as the clean row
+    path, out = tmp_path / "m.csv", tmp_path / "out.csv"
+    _write_csv(path, ["clip_zero,video,-0,0.1,0.2"])
+    assert main(["report", str(path), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "clip_zero,video,0.0,0.1,0.2"
 
 
 def test_cli_eval_sweep_writes_rows_by_falling_probability(cli_artifacts, two_checkpoints,
@@ -1158,7 +1173,8 @@ def test_cli_report_unknown_strategy_or_modality_exits_2(tmp_path, capsys, row):
                                        f"in row {row!r}\n")
 
 
-# every input is missing, so only a check made before any work can name the flag
+# every input is missing, so only a check made before any work can name the flag;
+# `afile` is a file, so an output under it has no directory either
 @pytest.mark.parametrize("argv,flag", [
     (["synth", "--config", "in.json", "--out", "nodir/data.avxd"], "--out"),
     (["train", "--config", "in.json", "--data", "d.avxd", "--out", "nodir/model.ckpt"], "--out"),
@@ -1167,13 +1183,20 @@ def test_cli_report_unknown_strategy_or_modality_exits_2(tmp_path, capsys, row):
     (["eval-sweep", "--model", "m.ckpt", "--data", "d.avxd", "--strategy", "clip_zero",
       "--modality", "video", "--out", "nodir/sweep.csv"], "--out"),
     (["report", "s.csv", "--out", "nodir/merged.csv"], "--out"),
+    (["report", "s.csv", "--out", "afile/merged.csv"], "--out"),
+    (["train", "--config", "in.json", "--data", "d.avxd", "--out", "model.ckpt",
+      "--log", "afile/log.csv"], "--log"),
 ])
 def test_cli_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                               argv, flag):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept")
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {flag}: directory 'nodir' does not exist\n"
-    assert list(tmp_path.iterdir()) == []
+    want = ("'afile' is not a directory" if any(a.startswith("afile/") for a in argv)
+            else "directory 'nodir' does not exist")
+    assert capsys.readouterr().err == f"error: {flag}: {want}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 @pytest.mark.parametrize("argv,flag", [
