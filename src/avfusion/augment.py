@@ -39,12 +39,12 @@ class AblationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if self.modality not in MODALITIES:
-            raise ValueError(f"unknown modality {self.modality!r}, expected one of {MODALITIES}")
+        for name, allowed in (("strategy", STRATEGIES), ("modality", MODALITIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"ablation.{name} must be one of {allowed}, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+            raise ValueError(f"ablation.probability must be in [0, 1], got {self.probability}")
         if self.seed < 0:
             raise ValueError(f"ablation.seed must be >= 0, got {self.seed}")
 

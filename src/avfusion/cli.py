@@ -100,11 +100,9 @@ def cmd_eval_sweep(args) -> int:
     labels = harness.model_labels(args.model)
     try:
         # `+ 0.0` reads "-0" as 0.0, the clean point, not a "-0.0" row beside it
-        probs = [float(tok) + 0.0 for tok in (args.probs or "").split(",") if tok != ""]
-    except ValueError as exc:
+        probs = [] if args.probs is None else [float(tok) + 0.0 for tok in args.probs.split(",")]
+    except ValueError as exc:  # an empty item too: "" does not parse as a float
         raise ConfigError(f"bad --probs list {args.probs!r}") from exc
-    if args.probs is not None and not probs:
-        raise ConfigError("--probs is empty")
     if bad := [p for p in probs if not 0.0 <= p <= 1.0]:  # NaN included
         raise ConfigError(f"--probs must be in [0, 1], got {bad[0]:g}")
     for flag, values, fmt in (("strategy", args.strategy, ""), ("modality", args.modality, ""),

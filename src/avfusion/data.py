@@ -9,7 +9,6 @@ window, and truncates both streams to a common length.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -71,18 +70,19 @@ class SyntheticConfig:
             raise ValueError(f"data.n_clips must be in [1, {MAX_CLIPS}] (clip ids are u32), "
                              f"got {self.n_clips}")
         if not 0 < self.clip_seconds < math.inf:
-            raise ValueError("clip_seconds must be finite and > 0")
+            raise ValueError(f"data.clip_seconds must be finite and > 0, got {self.clip_seconds!r}")
         if not self.clip_seconds * FPS_AUDIO < math.inf:
-            raise ValueError(f"clip_seconds must give a finite audio frame count at "
+            raise ValueError(f"data.clip_seconds must give a finite audio frame count at "
                              f"{FPS_AUDIO} fps, got {self.clip_seconds!r}")
-        if not 0 <= self.sigma_audio < math.inf:
-            raise ValueError("sigma_audio must be finite and >= 0")
-        if not 0 <= self.sigma_video < math.inf:
-            raise ValueError("sigma_video must be finite and >= 0")
+        for name in ("sigma_audio", "sigma_video"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"data.{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        if self.d_audio_lld < 1 or self.d_video < 1:
-            raise ValueError("feature dims must be >= 1")
+            raise ValueError(f"data.rho must be in (0, 1), got {self.rho!r}")
+        for name in ("d_audio_lld", "d_video"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"data.{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"data.seed must be >= 0, got {self.seed}")
 
@@ -309,19 +309,17 @@ def window_clips(clips: list[ClipRecord], seq_len: int, evaluation: bool = False
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    binio.write_u32(buf, DATASET_VERSION)
-    binio.write_u32(buf, len(dataset.clips))
-    for clip in dataset.clips:
-        for value in (clip.id, FPS_VIDEO, clip.video.shape[0], clip.video.shape[1],
-                      FPS_AUDIO, clip.audio.shape[0], clip.audio.shape[1]):
-            binio.write_u32(buf, value)
-        binio.write_f32_array(buf, clip.video)
-        binio.write_f32_array(buf, clip.audio)
-        binio.write_f32_array(buf, clip.labels)
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(DATASET_MAGIC)
+        binio.write_u32(f, DATASET_VERSION)
+        binio.write_u32(f, len(dataset.clips))
+        for clip in dataset.clips:
+            for value in (clip.id, FPS_VIDEO, clip.video.shape[0], clip.video.shape[1],
+                          FPS_AUDIO, clip.audio.shape[0], clip.audio.shape[1]):
+                binio.write_u32(f, value)
+            binio.write_f32_array(f, clip.video)
+            binio.write_f32_array(f, clip.audio)
+            binio.write_f32_array(f, clip.labels)
 
 
 def load_dataset(path) -> Dataset:

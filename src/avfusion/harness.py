@@ -5,10 +5,10 @@ its central finite-difference oracle, and reading and merging sweep tables.
 Config files have one schema: the dataclasses themselves. A run config
 describes training only, in its `train` (TrainParams), `ablation`
 (AblationSpec; a run without it trains on clean windows) and `model`
-(ModelConfig's architecture fields) sections; a synthetic-dataset config is
-one SyntheticConfig object. Each section's keys and defaults are its
-dataclass's fields, its range checks are that dataclass's `__post_init__`,
-and one JSON reader serves `load_run_config` and `load_synthetic_config`.
+(Architecture) sections; a synthetic-dataset config is one SyntheticConfig
+object. Each section's keys and defaults are its dataclass's fields, its
+range checks are that dataclass's `__post_init__`, and one JSON reader
+serves `load_run_config` and `load_synthetic_config`.
 
 Everything here is deterministic given the config seeds: shuffling and
 corruption draw from derived RNG streams keyed by stable indices, never by
@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,7 @@ from .data import (
     window_clips,
 )
 from .metrics import EvalSummary, ccc_loss, eval_summary
-from .model import ModelConfig, clone_params, init_params, model_forward, param_count
+from .model import Architecture, ModelConfig, clone_params, init_params, model_forward, param_count
 from .seeding import derive_rng, mix_seed
 
 DEFAULT_GRIDS = {
@@ -92,7 +92,7 @@ class SplitFractions:
 class RunConfig:
     """What to train: the data it trains on is given apart from it."""
     train: TrainParams
-    model: dict = field(default_factory=dict)       # architecture keys of ModelConfig
+    model: Architecture = field(default_factory=Architecture)
     ablation: AblationSpec | None = None            # None: train on clean windows
 
 
@@ -121,19 +121,15 @@ def _number(section: str, key: str, value, kind: type):
 _NUMBER_KINDS = {"int": int, "float": float}
 
 
-def _section_values(cls, section: str, obj: dict) -> dict:
-    """The keys of obj, each a field of cls, with numbers parsed by the field's type."""
+def _section(cls, section: str, obj: dict):
+    """cls built from obj: its keys are cls's fields, numbers are parsed by the
+    field's type, fields with no default are required, and cls's own
+    __post_init__ checks the values."""
     types = {f.name: f.type for f in fields(cls)}
     _check_keys(section, obj, types)
-    return {key: (_number(section, key, value, _NUMBER_KINDS[types[key]])
-                  if types[key] in _NUMBER_KINDS else value)
-            for key, value in obj.items()}
-
-
-def _section(cls, section: str, obj: dict):
-    """cls built from obj: its fields with no default are required, and its
-    own __post_init__ checks the values."""
-    values = _section_values(cls, section, obj)
+    values = {key: (_number(section, key, value, _NUMBER_KINDS[types[key]])
+                    if types[key] in _NUMBER_KINDS else value)
+              for key, value in obj.items()}
     for f in fields(cls):
         if f.default is MISSING and f.name not in values:
             raise ConfigError(f"{section}.{f.name} is required")
@@ -147,12 +143,11 @@ def run_config_from_dict(obj: dict) -> RunConfig:
     """A RunConfig from a parsed config JSON object.
 
     The sections are `train` (TrainParams), `ablation` (AblationSpec) and
-    `model`; any other section, such as a dataset's, raises ConfigError. A
-    section's dataclass fields are its keys and any other key raises
-    ConfigError, its defaults are the section's defaults, and its
-    `__post_init__` checks the values. The `model` section stays a dict of
-    ModelConfig's architecture fields; `model_config_for` completes it from
-    the data and `train.seq_len` and checks it.
+    `model` (Architecture); any other section, such as a dataset's, raises
+    ConfigError. A section's dataclass fields are its keys and any other key
+    raises ConfigError, its defaults are the section's defaults, and its
+    `__post_init__` checks the values. `model_config_for` completes the
+    architecture from the data and `train.seq_len`.
     """
     _check_keys("run", obj, {"model", "train", "ablation"})
     model = obj.get("model", {})
@@ -161,7 +156,7 @@ def run_config_from_dict(obj: dict) -> RunConfig:
         if isinstance(model, dict) and key in model:
             raise ConfigError(f"model.{key} cannot be set: its value comes from {source}")
     run = RunConfig(train=_section(TrainParams, "train", obj.get("train", {})),
-                    model=_section_values(ModelConfig, "model", model))
+                    model=_section(Architecture, "model", model))
     if "ablation" in obj:
         run.ablation = _section(AblationSpec, "ablation", obj["ablation"])
     return run
@@ -247,15 +242,11 @@ def model_config_for(run: RunConfig, prep: PreparedData) -> ModelConfig:
     grads and two Adam moments would not fit in this machine's physical
     memory is refused before anything is allocated for it."""
     first = prep.train_windows[0]  # its widths are the model's input widths
-    try:
-        config = ModelConfig(d_audio=first.audio.shape[1], d_video=first.video.shape[1],
-                             seq_len=run.train.seq_len, **run.model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ModelConfig(**asdict(run.model), d_audio=first.audio.shape[1],
+                         d_video=first.video.shape[1], seq_len=run.train.seq_len)
     memory = _physical_memory()
     if memory is not None and 4 * 8 * param_count(config) > memory:
-        keys = ", ".join(f"model.{name}={getattr(config, name)}"
-                         for name in ("num_layers", "d_model", "num_heads", "ffn_mult"))
+        keys = ", ".join(f"model.{name}={value}" for name, value in asdict(run.model).items())
         # the size is not quoted: it may be beyond the float range
         raise ConfigError(f"{keys} describe a model whose params, grads and Adam state "
                           f"take more than this machine's {memory / 1e9:.3g} GB of memory")

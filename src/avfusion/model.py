@@ -9,7 +9,6 @@ a linear head maps the fused representation to per-frame (valence, arousal).
 
 from __future__ import annotations
 
-import io
 import json
 import numbers
 from dataclasses import asdict, dataclass, fields
@@ -26,23 +25,31 @@ CHECKPOINT_VERSION = 1
 ParameterSet = dict[str, ad.Tensor]
 
 
-@dataclass
-class ModelConfig:
-    d_audio: int
-    d_video: int
+@dataclass(kw_only=True)
+class Architecture:
+    """The model keys a run config sets: its `model` section."""
     num_layers: int = 2
     d_model: int = 512
     num_heads: int = 4
     ffn_mult: int = 4
-    seq_len: int = 100
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"ModelConfig.{f.name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"model.{f.name} must be an integer >= 1, got {value!r}")
         if self.d_model % self.num_heads != 0:
-            raise ValueError(f"d_model={self.d_model} not divisible by num_heads={self.num_heads}")
+            raise ValueError(f"model.d_model {self.d_model} is not divisible by "
+                             f"model.num_heads {self.num_heads}")
+
+
+@dataclass(kw_only=True)
+class ModelConfig(Architecture):
+    """An Architecture completed by its input widths and window length, which
+    come from the data and `train.seq_len`."""
+    d_audio: int
+    d_video: int
+    seq_len: int = 100
 
 
 @lru_cache(maxsize=8)
@@ -213,23 +220,21 @@ def model_forward(audio: ad.Tensor, video: ad.Tensor, params: ParameterSet,
 
 
 def save_checkpoint(params: ParameterSet, config: ModelConfig, path) -> None:
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    binio.write_u32(buf, CHECKPOINT_VERSION)
     cfg = json.dumps(asdict(config), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    binio.write_u32(buf, len(cfg))
-    buf.write(cfg)
-    binio.write_u32(buf, len(params))
-    for name, p in params.items():
-        encoded = name.encode("utf-8")
-        binio.write_u16(buf, len(encoded))
-        buf.write(encoded)
-        binio.write_u8(buf, p.data.ndim)
-        for dim in p.data.shape:
-            binio.write_u32(buf, dim)
-        binio.write_f32_array(buf, p.data)
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(CHECKPOINT_MAGIC)
+        binio.write_u32(f, CHECKPOINT_VERSION)
+        binio.write_u32(f, len(cfg))
+        f.write(cfg)
+        binio.write_u32(f, len(params))
+        for name, p in params.items():
+            encoded = name.encode("utf-8")
+            binio.write_u16(f, len(encoded))
+            f.write(encoded)
+            binio.write_u8(f, p.data.ndim)
+            for dim in p.data.shape:
+                binio.write_u32(f, dim)
+            binio.write_f32_array(f, p.data)
 
 
 def load_checkpoint(path) -> tuple[ParameterSet, ModelConfig]:

@@ -28,9 +28,9 @@ def make_window(clip_id=0, t=12, d_a=3, d_v=4, seed=0):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="unknown strategy"):
+    with pytest.raises(ValueError, match=r"^ablation\.strategy must be one of .*, got 'drop_all'$"):
         AblationSpec("drop_all", "video", 0.5, 0)
-    with pytest.raises(ValueError, match="unknown modality"):
+    with pytest.raises(ValueError, match=r"^ablation\.modality must be one of .*, got 'text'$"):
         AblationSpec("clip_zero", "text", 0.5, 0)
     with pytest.raises(ValueError, match="probability"):
         AblationSpec("clip_zero", "video", 1.5, 0)

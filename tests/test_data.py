@@ -34,7 +34,7 @@ def test_synthetic_config_validation():
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 SyntheticConfig(**{"n_clips": 1, "clip_seconds": 1.0, field: bad})
-    with pytest.raises(ValueError, match=r"^clip_seconds must give a finite audio frame count"):
+    with pytest.raises(ValueError, match=r"^data\.clip_seconds must give a finite audio frame count"):
         SyntheticConfig(n_clips=1, clip_seconds=1e308)  # finite, but not at 100 fps
     with pytest.raises(ValueError, match="rho"):
         SyntheticConfig(n_clips=1, clip_seconds=1.0, rho=1.0)

@@ -154,7 +154,7 @@ def test_run_config_parses_or_raises_config_error(obj):
     for section, values in obj.items():
         parsed = getattr(run, section)
         for key, value in values.items():
-            assert (parsed[key] if section == "model" else getattr(parsed, key)) == value
+            assert getattr(parsed, key) == value
     assert ("ablation" in obj) == (run.ablation is not None)
 
 

@@ -115,8 +115,8 @@ def test_run_config_integral_floats_count_as_integers():
                                 "model": {"d_model": 32.0, "num_layers": 2}})
     assert (run.train.epochs, run.train.batch_size) == (3, 8)
     assert type(run.train.epochs) is int and type(run.train.batch_size) is int
-    assert run.model == {"d_model": 32, "num_layers": 2}
-    assert all(type(v) is int for v in run.model.values())
+    assert (run.model.d_model, run.model.num_layers) == (32, 2)
+    assert type(run.model.d_model) is int and type(run.model.num_layers) is int
 
 
 @pytest.mark.parametrize("section,key,value,message", [
@@ -125,7 +125,7 @@ def test_run_config_integral_floats_count_as_integers():
     ("train", "seed", -1, "train.seed must be >= 0"),
     ("train", "epochs", 0, "train.epochs must be >= 1"),
     ("train", "batch_size", 0, "train.batch_size must be >= 1"),
-    ("ablation", "probability", 1.5, "probability must be in [0, 1], got 1.5"),
+    ("ablation", "probability", 1.5, "ablation.probability must be in [0, 1], got 1.5"),
 ])
 def test_run_config_range_errors_name_keys(section, key, value, message):
     config = {"train": {"epochs": 1}, "ablation": {"strategy": "clip_zero"}}
@@ -158,7 +158,7 @@ def test_load_synthetic_config_reads_a_bare_object_only(tmp_path):
     ("n_clips", 3.5, "data.n_clips must be an integer, got 3.5"),
     ("sigma_audio", "abc", "data.sigma_audio must be a finite number, got 'abc'"),
     ("rho", None, "data.rho must be a finite number, got None"),
-    ("sigma_video", -1.0, "sigma_video must be finite and >= 0"),
+    ("sigma_video", -1.0, "data.sigma_video must be finite and >= 0, got -1.0"),
     ("path", "d.avxd", "unknown key 'path' in section 'data'"),
 ])
 def test_synthetic_config_errors_name_keys(tmp_path, key, value, message):
@@ -776,7 +776,10 @@ def test_cli_eval_sweep_checkpoint_unlike_the_first_exits_without_a_table(
     pytest.param(["--probs", "0,1.5"], "--probs must be in [0, 1], got 1.5", id="above-1"),
     pytest.param(["--probs", "-0.1"], "--probs must be in [0, 1], got -0.1", id="below-0"),
     pytest.param(["--probs", "0.5,nan"], "--probs must be in [0, 1], got nan", id="nan"),
-    pytest.param(["--probs", ""], "--probs is empty", id="empty"),
+    pytest.param(["--probs", ""], "bad --probs list ''", id="empty"),
+    pytest.param(["--probs", "0.5,,1"], "bad --probs list '0.5,,1'", id="empty-inner-item"),
+    pytest.param(["--probs", "0.5,"], "bad --probs list '0.5,'", id="empty-last-item"),
+    pytest.param(["--probs", ","], "bad --probs list ','", id="comma"),
 ])
 def test_cli_eval_sweep_repeated_probability_exits_2(tmp_path, monkeypatch, capsys, flags,
                                                      message):
@@ -826,7 +829,7 @@ def test_cli_synth_overflowing_clip_length_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_clips": 1, "clip_seconds": 1e308}))
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path / "x.avxd")]) == 2
-    assert capsys.readouterr().err == ("error: clip_seconds must give a finite audio frame "
+    assert capsys.readouterr().err == ("error: data.clip_seconds must give a finite audio frame "
                                        "count at 100 fps, got 1e+308\n")
     assert not (tmp_path / "x.avxd").exists()
 
@@ -903,8 +906,8 @@ def test_cli_train_with_a_none_ablation_exits_2(cli_artifacts, tmp_path, capsys)
     out = tmp_path / "m.ckpt"
     assert main(["train", "--config", str(path), "--data", str(data_path),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error: unknown strategy 'none', "
-                                       f"expected one of {STRATEGIES}\n")
+    assert capsys.readouterr().err == (f"error: ablation.strategy must be one of {STRATEGIES}, "
+                                       "got 'none'\n")
     assert not out.exists()
 
 
@@ -1356,6 +1359,27 @@ def test_cli_train_with_a_model_key_the_inputs_fix_exits_2(cli_artifacts, tmp_pa
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: model.{key} cannot be set: "
                                        f"its value comes from {source}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,message", [
+    pytest.param({"num_layers": 0}, "model.num_layers must be an integer >= 1, got 0",
+                 id="num_layers-0"),
+    pytest.param({"d_model": 30, "num_heads": 4},
+                 "model.d_model 30 is not divisible by model.num_heads 4", id="heads"),
+])
+def test_cli_train_with_a_bad_architecture_exits_2_before_reading_the_data(
+        cli_artifacts, tmp_path, capsys, model, message):
+    # the data is truncated: a dataset read before the config would fail on it instead
+    _, _, data_path, _ = cli_artifacts
+    truncated = tmp_path / "cut.avxd"
+    truncated.write_bytes(data_path.read_bytes()[:1000])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**TINY_RUN, "model": model}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", str(path), "--data", str(truncated),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
